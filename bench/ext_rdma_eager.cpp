@@ -1,22 +1,20 @@
-// EXT-RDMA — extension: one-sided ring channels against the two-sided
-// eager and hybrid UD tiers.
+// EXT-RDMA — extension: one-sided ring channels against two-sided eager.
 //
 // Size sweep: half-round-trip latency of small eager messages. The ring
 // sender RDMA-writes [header | payload | tail marker] into a persistent
 // receiver-owned slab, so the receiver pays no post_recv and no recv-CQ
 // poll on the hot path — it polls ring memory and the record is already
 // placed. Two-sided eager pays the prepost + recv-CQE + bounce-copy
-// chain; UD skips the ACK round but keeps the receive path. The sweep
-// runs on small pages and on a hugepage-backed slab (the paper's
-// placement story applied to the ring: fewer ATT entries under the
-// slab, cheaper registration, steadier write latency).
+// chain. The sweep runs on small pages and on a hugepage-backed slab
+// (the paper's placement story applied to the ring: fewer ATT entries
+// under the slab, cheaper registration, steadier write latency).
 //
 // RPC closed loop: the response fast path (servers RDMA-write responses
 // into client-owned ring slots) against the batched two-sided response
 // path, uncontended closed loop, p50/p99 of the same workload.
 //
-// Deterministic: identical seeds produce byte-identical output (the CI
-// rdma-smoke job runs this twice and diffs the JSON). The bench asserts
+// Deterministic: identical seeds produce byte-identical output (the
+// rdma_eager_golden ctest pins the --short JSON). The bench asserts
 // its own acceptance floor — rdma-eager must beat two-sided eager on
 // small messages and on RPC closed-loop p50 — and exits non-zero if the
 // advantage ever regresses.
@@ -40,21 +38,10 @@ using namespace ibp;
 
 namespace {
 
-enum class Tier { TwoSided, RdmaEager, UdEager };
-
-const char* tier_name(Tier t) {
-  switch (t) {
-    case Tier::TwoSided: return "two-sided";
-    case Tier::RdmaEager: return "rdma-eager";
-    case Tier::UdEager: return "ud-eager";
-  }
-  return "?";
-}
-
 /// Half-round-trip latency of a ping-pong at `bytes`, averaged over the
-/// measured iterations (after warmup), on rank 1's clock.
-TimePs ping_pong(Tier tier, std::uint32_t bytes, bool hugepages,
-                 int iters) {
+/// measured iterations (after warmup), on rank 1's clock. `ring` selects
+/// the rdma-eager tier instead of two-sided eager.
+TimePs ping_pong(bool ring, std::uint32_t bytes, bool hugepages, int iters) {
   core::ClusterConfig cfg;
   cfg.platform = platform::opteron_pcie_infinihost();
   cfg.nodes = 2;
@@ -62,8 +49,7 @@ TimePs ping_pong(Tier tier, std::uint32_t bytes, bool hugepages,
   cfg.hugepage_library = hugepages;
   core::Cluster cluster(cfg);
   mpi::CommConfig mc;
-  mc.rdma_eager = tier == Tier::RdmaEager;
-  mc.ud_eager = tier == Tier::UdEager;
+  mc.rdma_eager = ring;
   const int warmup = 5;
   TimePs dt = 0;
   std::uint64_t ring_sent = 0;
@@ -88,7 +74,7 @@ TimePs ping_pong(Tier tier, std::uint32_t bytes, bool hugepages,
     if (env.rank() == 0) ring_sent = comm.stats().rdma_eager_sent;
     comm.barrier();
   });
-  if (tier == Tier::RdmaEager)
+  if (ring)
     IBP_CHECK(ring_sent > 0, "ring tier enabled but no message rode it");
   return dt;
 }
@@ -157,30 +143,29 @@ int main(int argc, char** argv) {
   const int iters = short_mode ? 20 : 60;
   const std::uint64_t rpc_n = short_mode ? 1200 : 5000;
 
-  std::printf("EXT-RDMA — one-sided ring channels vs two-sided/UD eager\n\n");
+  std::printf("EXT-RDMA — one-sided ring channels vs two-sided eager\n\n");
 
   const std::vector<std::uint32_t> sizes = {64, 256, 1024, 4096, 8192};
   struct Row {
     std::uint32_t bytes;
-    TimePs two, ring, ud, ring_huge;
+    TimePs two, ring, ring_huge;
   };
   std::vector<Row> rows;
   std::printf("ping-pong half-round-trip latency (%d iters):\n", iters);
-  TextTable t({"size", "two-sided [us]", "rdma-eager [us]", "ud-eager [us]",
-               "ring huge [us]", "ring vs two-sided"});
+  TextTable t({"size", "two-sided [us]", "rdma-eager [us]", "ring huge [us]",
+               "ring vs two-sided"});
   for (std::uint32_t s : sizes) {
     Row r;
     r.bytes = s;
-    r.two = ping_pong(Tier::TwoSided, s, false, iters);
-    r.ring = ping_pong(Tier::RdmaEager, s, false, iters);
-    r.ud = ping_pong(Tier::UdEager, s, false, iters);
-    r.ring_huge = ping_pong(Tier::RdmaEager, s, true, iters);
+    r.two = ping_pong(false, s, false, iters);
+    r.ring = ping_pong(true, s, false, iters);
+    r.ring_huge = ping_pong(true, s, true, iters);
     char rel[32];
     std::snprintf(rel, sizeof rel, "%+.1f %%",
                   bench::pct_change(static_cast<double>(r.two),
                                     static_cast<double>(r.ring)));
     t.add_row(bench::human_bytes(s), ps_to_us(r.two), ps_to_us(r.ring),
-              ps_to_us(r.ud), ps_to_us(r.ring_huge), std::string(rel));
+              ps_to_us(r.ring_huge), std::string(rel));
     rows.push_back(r);
   }
   t.print();
@@ -248,8 +233,7 @@ int main(int argc, char** argv) {
       const Row& r = rows[i];
       out << (i == 0 ? "\n" : ",\n") << "    {\"bytes\": " << r.bytes
           << ", \"two_sided_ps\": " << r.two << ", \"rdma_eager_ps\": "
-          << r.ring << ", \"ud_eager_ps\": " << r.ud
-          << ", \"rdma_eager_huge_ps\": " << r.ring_huge << "}";
+          << r.ring << ", \"rdma_eager_huge_ps\": " << r.ring_huge << "}";
     }
     char h0[32], h1[32];
     std::snprintf(h0, sizeof(h0), "0x%016llx",

@@ -1,6 +1,39 @@
 #include "ibp/core/cluster.hpp"
 
+#include <sstream>
+
 namespace ibp::core {
+
+namespace {
+
+/// Reject qpkill directives aimed at a node or QP the cluster does not
+/// have: they would otherwise never fire.
+void check_qp_kills(const fault::FaultPlan& plan,
+                    const std::vector<std::unique_ptr<Node>>& nodes) {
+  const int nnodes = static_cast<int>(nodes.size());
+  for (const fault::QpError& e : plan.qp_errors) {
+    const bool any_node = e.node == fault::kAnyNode;
+    std::ostringstream directive;
+    directive << "qpkill=" << (any_node ? "*" : std::to_string(e.node)) << ':'
+              << (e.qp_num == 0 ? "*" : std::to_string(e.qp_num)) << ':'
+              << ps_to_us(e.at);
+    IBP_CHECK(any_node || (e.node >= 0 && e.node < nnodes),
+              "fault plan: " << directive.str() << " names node " << e.node
+                             << "; valid nodes are 0.." << nnodes - 1);
+    if (e.qp_num == 0) continue;
+    // Wiring gives every node the same QP count.
+    const std::uint32_t nqps =
+        nodes[any_node ? 0 : static_cast<std::size_t>(e.node)]
+            ->adapter.qp_count();
+    IBP_CHECK(e.qp_num <= nqps,
+              "fault plan: " << directive.str() << " names QP " << e.qp_num
+                             << "; valid QPs per node are "
+                             << (nqps == 0 ? "none (single node)"
+                                           : "1.." + std::to_string(nqps)));
+  }
+}
+
+}  // namespace
 
 RankEnv::RankEnv(Cluster& cluster, sim::Context& sc, RankState& st)
     : cluster_(&cluster),
@@ -81,17 +114,13 @@ Cluster::Cluster(ClusterConfig cfg)
           fabric_.get(), n / cfg_.fabric_pod_nodes);
   }
 
-  for (int r = 0; r < nranks; ++r) {
-    Node& nd = *nodes_[static_cast<std::size_t>(r / cfg_.ranks_per_node)];
-    ranks_.push_back(std::make_unique<RankState>(nd, cfg_, r));
-    RankState& rs = *ranks_.back();
-    rs.ud_qp = &nd.adapter.create_qp(&rs.send_cq, &rs.recv_cq,
-                                     hca::QpType::UD);
-    rs.ud_qp->set_attrs(cfg_.driver.qp);
-  }
+  for (int r = 0; r < nranks; ++r)
+    ranks_.push_back(std::make_unique<RankState>(
+        *nodes_[static_cast<std::size_t>(r / cfg_.ranks_per_node)], cfg_, r));
 
   // Wiring. Inter-node pairs get an RC QP pair; same-node pairs get a
-  // shared-memory channel per direction.
+  // shared-memory channel per direction. Each adapter numbers its QPs
+  // 1..N in this wiring order (the numbers qpkill directives name).
   shm_.resize(static_cast<std::size_t>(nranks));
   for (auto& row : shm_) row.resize(static_cast<std::size_t>(nranks));
   ShmConfig shm_cfg{cfg_.platform.shm_bw_bytes_per_ns, cfg_.platform.shm_latency};
@@ -127,6 +156,7 @@ Cluster::Cluster(ClusterConfig cfg)
       }
     }
   }
+  check_qp_kills(cfg_.fault, nodes_);
 
   register_probes();
   if (sim::Tracer* t = tracer()) {

@@ -168,8 +168,6 @@ struct RankState {
   Rng rng;
   hca::CompletionQueue send_cq;
   hca::CompletionQueue recv_cq;
-  // Connectionless UD endpoint (datagram eager transport).
-  hca::QueuePair* ud_qp = nullptr;
   // Wiring, indexed by peer rank. Exactly one of qp_to / shm_out is set
   // for every peer != self.
   std::vector<hca::QueuePair*> qp_to;

@@ -235,9 +235,16 @@ FaultPlan parse_fault_plan(const std::string& spec) {
                 "fault plan: expected NODE:QP:AT, got '" << value << "'");
       QpError e;
       e.node = parse_node(fields[0]);
-      e.qp_num = fields[1] == "*"
-                     ? 0
-                     : static_cast<std::uint32_t>(std::stoul(fields[1]));
+      if (fields[1] != "*") {
+        const bool digits = !fields[1].empty() &&
+                            fields[1].find_first_not_of("0123456789") ==
+                                std::string::npos;
+        e.qp_num = digits ? static_cast<std::uint32_t>(std::stoul(fields[1]))
+                          : 0;
+        IBP_CHECK(e.qp_num != 0, "fault plan: qpkill=" << value
+                                     << " has a bad QP; QPs are numbered "
+                                        "from 1, '*' = any");
+      }
       e.at = us(static_cast<std::uint64_t>(std::stoull(fields[2])));
       plan.qp_errors.push_back(e);
     } else if (key == "crash") {

@@ -63,10 +63,12 @@ struct AttStorm {
 };
 
 /// One-shot QP failure: the first work-request processed on the matching
-/// QP at virtual time >= `at` moves it to the error state.
+/// QP at virtual time >= `at` moves it to the error state. A node's QPs
+/// are numbered 1..N in the cluster's wiring order; a Cluster rejects a
+/// plan naming a node or QP it does not have.
 struct QpError {
   NodeId node = kAnyNode;
-  std::uint32_t qp_num = 0;  // 0 = any QP on the node (QP numbers start at 1)
+  std::uint32_t qp_num = 0;  // 0 = the first QP on the node to act
   TimePs at = 0;
 };
 
@@ -103,7 +105,9 @@ struct FaultPlan {
 ///   drop=SRC-DST:PROB[:FROM-UNTIL]     packet drop probability on a link
 ///   corrupt=SRC-DST:PROB[:FROM-UNTIL]  packet corruption probability
 ///   storm=NODE:FROM-UNTIL              ATT miss storm on an adapter
-///   qpkill=NODE:QP:AT                  one-shot QP error (QP may be '*')
+///   qpkill=NODE:QP:AT                  one-shot QP error; QP is 1..N or
+///                                      '*' (the first QP on NODE to act
+///                                      after AT)
 ///   crash=NODE@AT                      permanent server kill at AT
 ///   recover=NODE@AT                    server rejoins at AT (ends a crash)
 ///   seed=N                             override the injector seed

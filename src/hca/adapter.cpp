@@ -64,10 +64,10 @@ const MemoryRegion* Adapter::find_mr(std::uint32_t key) const {
 }
 
 QueuePair& Adapter::create_qp(CompletionQueue* send_cq,
-                              CompletionQueue* recv_cq, QpType type) {
+                              CompletionQueue* recv_cq) {
   IBP_CHECK(send_cq != nullptr && recv_cq != nullptr);
   qps_.emplace_back(std::unique_ptr<QueuePair>(
-      new QueuePair(this, next_qp_++, send_cq, recv_cq, type)));
+      new QueuePair(this, qp_count() + 1, send_cq, recv_cq)));
   return *qps_.back();
 }
 
@@ -305,18 +305,7 @@ TimePs QueuePair::post_send(const SendWr& wr, TimePs now) {
     send_cq_->push(cqe);
     return adapter_->cfg_.post_base;
   }
-  QueuePair* dst = peer_;
-  if (type_ == QpType::UD) {
-    // Connectionless: Send only, one MTU max, destination per WR.
-    IBP_CHECK(wr.opcode == Opcode::Send, "UD supports Send only");
-    IBP_CHECK(wr.ud_dest != nullptr && wr.ud_dest->type_ == QpType::UD,
-              "UD send needs a UD destination");
-    dst = wr.ud_dest;
-    IBP_CHECK(wr.total_length() <= adapter_->cfg_.mtu,
-              "UD datagrams are limited to one MTU");
-  } else {
-    IBP_CHECK(peer_ != nullptr, "post_send on an unconnected QP");
-  }
+  IBP_CHECK(peer_ != nullptr, "post_send on an unconnected QP");
   if (wr.opcode == Opcode::RdmaRead) return post_rdma_read(wr, now);
   if (wr.opcode == Opcode::AtomicFetchAdd ||
       wr.opcode == Opcode::AtomicCmpSwap)
@@ -355,7 +344,7 @@ TimePs QueuePair::post_send(const SendWr& wr, TimePs now) {
   // ATT traffic on the receiving adapter); it pipelines with the wire the
   // same way the local gather does.
   TimePs remote_dma = 0;
-  Adapter& rhca = *dst->adapter_;
+  Adapter& rhca = *peer_->adapter_;
   const MemoryRegion* rmr = nullptr;
   if (wr.opcode == Opcode::RdmaWrite) {
     rmr = rhca.find_mr(wr.rkey);
@@ -380,7 +369,7 @@ TimePs QueuePair::post_send(const SendWr& wr, TimePs now) {
   // packets stretch the transfer by their timeout + resend; an exhausted
   // per-packet retry budget fails the WR and errors the QP instead of
   // delivering anything.
-  const bool reliable = type_ == QpType::RC && hca.fault_ != nullptr;
+  const bool reliable = hca.fault_ != nullptr;
   if (reliable) {
     const std::uint64_t npkts =
         std::max<std::uint64_t>(1, div_ceil(bytes, cfg.mtu));
@@ -433,21 +422,6 @@ TimePs QueuePair::post_send(const SendWr& wr, TimePs now) {
 
   hca.stats_.bytes_tx += bytes;
 
-  // UD is unreliable: a lost datagram simply never arrives — no
-  // retransmission, and the sender's "on the wire" CQE is unaffected.
-  bool ud_lost = false;
-  if (type_ == QpType::UD && hca.fault_ != nullptr) {
-    const fault::PacketVerdict v =
-        hca.fault_->judge_packet(hca.node_, rhca.node_, nic_start + nic_proc);
-    if (v != fault::PacketVerdict::Deliver) {
-      ud_lost = true;
-      v == fault::PacketVerdict::Drop ? ++qp_stats_.pkts_dropped
-                                      : ++qp_stats_.pkts_corrupted;
-      v == fault::PacketVerdict::Drop ? ++hca.stats_.pkts_dropped
-                                      : ++hca.stats_.pkts_corrupted;
-    }
-  }
-
   // Reliable Send completions are ACK-gated: the CQE is generated at match
   // time (try_match), after any RNR backoff the receiver imposes.
   const bool defer_cqe = reliable && wr.opcode == Opcode::Send;
@@ -463,7 +437,7 @@ TimePs QueuePair::post_send(const SendWr& wr, TimePs now) {
 
   if (wr.opcode == Opcode::Send) {
     hca.stats_.sends_posted += 1;
-    if (!ud_lost) dst->deliver(std::move(msg));
+    peer_->deliver(std::move(msg));
   } else {
     hca.stats_.rdma_writes_posted += 1;
     if (bytes != 0) {
@@ -481,12 +455,11 @@ TimePs QueuePair::post_send(const SendWr& wr, TimePs now) {
       msg.write_imm = true;
       msg.write_len = static_cast<std::uint32_t>(bytes);
       msg.data.clear();
-      dst->deliver(std::move(msg));
+      peer_->deliver(std::move(msg));
     }
   }
 
-  // RC send completion is visible after the remote HCA acknowledged; UD
-  // is fire-and-forget — the CQE means "on the wire", no ACK round.
+  // The send completion is visible after the remote HCA acknowledged.
   if (!defer_cqe) {
     Cqe cqe;
     cqe.wr_id = wr.wr_id;
@@ -494,9 +467,7 @@ TimePs QueuePair::post_send(const SendWr& wr, TimePs now) {
                                          : CqeType::RdmaWriteComplete;
     cqe.byte_len = static_cast<std::uint32_t>(bytes);
     cqe.qp_num = qp_num_;
-    cqe.ready_time = type_ == QpType::UD
-                         ? tx_end + cfg.cqe_write
-                         : msg.arrival + cfg.ack_latency + cfg.cqe_write;
+    cqe.ready_time = msg.arrival + cfg.ack_latency + cfg.cqe_write;
     send_cq_->push(cqe);
   }
 
@@ -726,7 +697,7 @@ void QueuePair::deliver(StagedMsg msg) {
       msg.src_qp->send_cq_->push(cqe);
       msg.src_qp->enter_error(msg.arrival);
     }
-    return;  // UD datagrams to a dead QP vanish silently
+    return;  // no deferred sender CQE (e.g. write-with-immediate): dropped
   }
   if (msg.src_qp != nullptr && recv_queue_.empty() && msg.rnr_deadline != 0) {
     // No receive posted: the receiver returns RNR NAKs until one shows up.

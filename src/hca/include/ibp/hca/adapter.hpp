@@ -108,8 +108,6 @@ struct MemoryRegion {
   }
 };
 
-enum class QpType : std::uint8_t { RC, UD };
-
 /// QP lifecycle, collapsed to the two states the model distinguishes.
 /// (Real verbs walk RESET→INIT→RTR→RTS; connect() stands in for that.)
 enum class QpState : std::uint8_t { Ready, Error };
@@ -118,7 +116,6 @@ class QueuePair {
  public:
   std::uint32_t qp_num() const { return qp_num_; }
   Adapter& adapter() { return *adapter_; }
-  QpType type() const { return type_; }
   QpState state() const { return state_; }
 
   /// RC reliability attributes (modify_qp equivalent). Consulted only when
@@ -135,7 +132,6 @@ class QueuePair {
 
   /// Wire this QP to its RC peer (both directions must be connected).
   void connect(QueuePair* peer) {
-    IBP_CHECK(type_ == QpType::RC, "UD QPs are connectionless");
     IBP_CHECK(peer != nullptr && peer != this);
     peer_ = peer;
   }
@@ -163,12 +159,8 @@ class QueuePair {
  private:
   friend class Adapter;
   QueuePair(Adapter* adapter, std::uint32_t num, CompletionQueue* scq,
-            CompletionQueue* rcq, QpType type)
-      : adapter_(adapter),
-        qp_num_(num),
-        send_cq_(scq),
-        recv_cq_(rcq),
-        type_(type) {}
+            CompletionQueue* rcq)
+      : adapter_(adapter), qp_num_(num), send_cq_(scq), recv_cq_(rcq) {}
 
   struct StagedMsg {
     std::vector<std::uint8_t> data;
@@ -226,7 +218,6 @@ class QueuePair {
   std::uint32_t qp_num_;
   CompletionQueue* send_cq_;
   CompletionQueue* recv_cq_;
-  QpType type_ = QpType::RC;
   QpState state_ = QpState::Ready;
   QpAttrs attrs_;
   QpStats qp_stats_;
@@ -306,8 +297,12 @@ class Adapter {
     it->second->monitor = mon;
   }
 
-  QueuePair& create_qp(CompletionQueue* send_cq, CompletionQueue* recv_cq,
-                       QpType type = QpType::RC);
+  /// Create an RC QP. QP numbers count up from 1 per adapter, in creation
+  /// order.
+  QueuePair& create_qp(CompletionQueue* send_cq, CompletionQueue* recv_cq);
+  std::uint32_t qp_count() const {
+    return static_cast<std::uint32_t>(qps_.size());
+  }
 
   std::uint64_t att_capacity() const { return att_.capacity(); }
 
@@ -355,7 +350,6 @@ class Adapter {
   ArbState device_arb_;
   LruSet<std::uint64_t> att_;  // key: (lkey << 32) | translation index
   std::uint32_t next_key_ = 1;
-  std::uint32_t next_qp_ = 1;
   TimePs tx_bulk_busy_ = 0;
   TimePs tx_ctrl_busy_ = 0;
   TimePs rx_bulk_busy_ = 0;

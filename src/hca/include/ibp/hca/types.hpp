@@ -24,14 +24,10 @@ enum class Opcode : std::uint8_t {
   AtomicCmpSwap,   // one-sided 8-byte compare-and-swap; old value returned
 };
 
-class QueuePair;
-
 struct SendWr {
   std::uint64_t wr_id = 0;
   Opcode opcode = Opcode::Send;
   std::vector<Sge> sges;  // RDMA read: the *destination* of the pulled data
-  // UD only: the datagram's destination (address-handle equivalent).
-  QueuePair* ud_dest = nullptr;
   // RDMA write/read only:
   VirtAddr remote_addr = 0;
   std::uint32_t rkey = 0;

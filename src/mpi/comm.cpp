@@ -7,9 +7,6 @@ namespace ibp::mpi {
 
 namespace {
 
-/// Receive-CQE wr_id namespace for UD datagram slots.
-constexpr std::uint64_t kUdWrBase = std::uint64_t{1} << 40;
-
 /// Tag reserved for the ring-channel descriptor handshake. Above the
 /// collective tag band (0x4000xxxx) and exchanged before any user
 /// traffic exists, so it cannot collide.
@@ -28,13 +25,6 @@ Comm::Comm(core::RankEnv& env, CommConfig cfg) : env_(&env), cfg_(cfg) {
             "eager threshold must not exceed the rendezvous-copy ceiling");
   IBP_CHECK(cfg_.rndv_copy_max + kHeaderBytes <= cfg_.slot_bytes,
             "bounce slots too small for the rendezvous-copy ceiling");
-  IBP_CHECK(!cfg_.ud_eager || env.cluster().fault() == nullptr,
-            "ud_eager rides an unreliable datagram transport; disable it "
-            "when a fault plan is active");
-  IBP_CHECK(!(cfg_.rdma_eager && cfg_.ud_eager),
-            "rdma_eager and ud_eager are mutually exclusive; valid protocol "
-            "tiers: two-sided eager (default), ud_eager (hybrid UD "
-            "datagrams), rdma_eager (one-sided ring channels)");
 
   const int n = size();
   peer_idx_.assign(static_cast<std::size_t>(n), ~0ull);
@@ -68,23 +58,6 @@ Comm::Comm(core::RankEnv& env, CommConfig cfg) : env_(&env), cfg_(cfg) {
                     recv_mr_.lkey}};
         env_->verbs().post_recv(qp, wr);
       }
-    }
-  }
-  if (cfg_.ud_eager && !ib_peers_.empty()) {
-    // One shared pool of MTU-sized datagram slots, independent of the
-    // peer count — the UD scalability property.
-    const auto mtu = env_->state().node->adapter.config().mtu;
-    ud_region_ = env_->alloc(static_cast<std::uint64_t>(cfg_.recv_slots) *
-                             mtu * 2);
-    ud_mr_ = env_->verbs().reg_mr(
-        ud_region_, static_cast<std::uint64_t>(cfg_.recv_slots) * mtu * 2);
-    auto qp = env_->verbs().wrap_qp(*st.ud_qp);
-    for (std::uint32_t s2 = 0; s2 < cfg_.recv_slots * 2; ++s2) {
-      hca::RecvWr wr;
-      wr.wr_id = kUdWrBase + s2;
-      wr.sges = {{ud_region_ + static_cast<std::uint64_t>(s2) * mtu, mtu,
-                  ud_mr_.lkey}};
-      env_->verbs().post_recv(qp, wr);
     }
   }
 
@@ -162,7 +135,6 @@ void Comm::register_metrics() {
         [this] { return double(stats_.unexpected_arrivals); });
   probe("mpi.gather_sends", [this] { return double(stats_.gather_sends); });
   probe("mpi.sge_splits", [this] { return double(stats_.sge_splits); });
-  probe("mpi.ud_sent", [this] { return double(stats_.ud_sent); });
   if (cfg_.rdma_eager) {
     // Ring-tier probes are registered only when the tier is on, so the
     // metrics namespace (and every golden that snapshots it) is
@@ -308,18 +280,6 @@ void Comm::transport_send(int peer, const Header& hdr_in,
               static_cast<std::uint32_t>(kHeaderBytes + payload.size()),
               send_mr_.lkey}};
   action.slot = slot;
-  const bool fits_datagram =
-      cfg_.ud_eager &&
-      kHeaderBytes + payload.size() <=
-          env_->state().node->adapter.config().mtu;
-  if (fits_datagram) {
-    ++stats_.ud_sent;
-    wr.ud_dest = env_->cluster().rank(peer).ud_qp;
-    send_actions_.emplace(wr.wr_id, std::move(action));
-    auto qp = env_->verbs().wrap_qp(*env_->state().ud_qp);
-    env_->verbs().post_send(qp, wr);
-    return;
-  }
   action.wr = wr;  // the bounce slot stays held, so the WR is replayable
   action.dest = peer;
   send_actions_.emplace(wr.wr_id, std::move(action));
@@ -822,22 +782,6 @@ void Comm::progress_once() {
         again = true;
         continue;
       }
-      if (c->wr_id >= kUdWrBase) {
-        // Datagram slot.
-        const std::uint64_t slot = c->wr_id - kUdWrBase;
-        const auto mtu = env_->state().node->adapter.config().mtu;
-        const VirtAddr va = ud_region_ + slot * mtu;
-        auto bytes = env_->space().host_span(va, c->byte_len);
-        const Header hdr = load_header(bytes.data());
-        ingest(hdr, bytes.subspan(kHeaderBytes));
-        hca::RecvWr wr;
-        wr.wr_id = c->wr_id;
-        wr.sges = {{va, mtu, ud_mr_.lkey}};
-        auto qp = env_->verbs().wrap_qp(*env_->state().ud_qp);
-        env_->verbs().post_recv(qp, wr);
-        again = true;
-        continue;
-      }
       const std::uint64_t pi = c->wr_id / cfg_.recv_slots;
       const std::uint64_t slot = c->wr_id % cfg_.recv_slots;
       const VirtAddr va =
@@ -1092,8 +1036,7 @@ void Comm::handle_send_cqe(const hca::Cqe& cqe) {
 }
 
 void Comm::handle_recv_error(const hca::Cqe& cqe) {
-  IBP_CHECK(cfg_.recovery == CommConfig::Recovery::Repost &&
-                cqe.wr_id < kUdWrBase,
+  IBP_CHECK(cfg_.recovery == CommConfig::Recovery::Repost,
             "transport receive completed in error ("
                 << hca::wc_status_name(cqe.status) << ")");
   // A QP error flushed this preposted bounce slot: recycle the QP and
@@ -1130,7 +1073,6 @@ const CommStats& Comm::stats() const {
     stats_.rnr_naks += qp->qp_stats().rnr_naks;
   };
   for (const hca::QueuePair* qp : st.qp_to) add(qp);
-  add(st.ud_qp);
   return stats_;
 }
 

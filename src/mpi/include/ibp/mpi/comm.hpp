@@ -48,12 +48,6 @@ struct CommConfig {
   /// MVAPICH default the paper used) or RDMA-read (the RTS carries the
   /// sender's rkey and the receiver pulls — one handshake hop fewer).
   bool rndv_read = false;
-  /// Hybrid UD transport: eager and control messages that fit one MTU
-  /// ride a single connectionless UD QP (MVAPICH-UD style: prepost memory
-  /// independent of peer count, no ACK round on the sender CQE); larger
-  /// traffic stays on the RC paths. Sequence numbers restore envelope
-  /// order across the mixed transports.
-  bool ud_eager = false;
   /// One-sided ring channels (EXT-RDMA): eligible eager messages are
   /// framed into a persistent, receiver-owned ring slab the sender
   /// RDMA-writes — no preposted receive, no recv-CQ poll on the hot
@@ -62,7 +56,6 @@ struct CommConfig {
   /// sender-owned control word. Messages that exceed ring.max_record or
   /// find the ring out of credit fall back to the two-sided eager path
   /// (envelope order is restored by the per-source sequence numbers).
-  /// Mutually exclusive with ud_eager.
   bool rdma_eager = false;
   /// Per-peer ring geometry used when rdma_eager is on.
   ringchan::RingConfig ring;
@@ -102,7 +95,6 @@ struct CommStats {
   std::uint64_t unexpected_arrivals = 0;
   std::uint64_t gather_sends = 0;
   std::uint64_t sge_splits = 0;  // gathers split to honour plan.max_sges
-  std::uint64_t ud_sent = 0;
   std::uint64_t rdma_eager_sent = 0;   // messages placed via ring write
   std::uint64_t rdma_eager_bytes = 0;  // user payload bytes over the rings
   /// Ring-eligible sends pushed back to the two-sided path because the
@@ -291,7 +283,7 @@ class Comm {
 
  private:
   /// Sequencing front-end: delivers in per-source order, stashing early
-  /// arrivals (mixed UD/RC transports may reorder).
+  /// arrivals (ring records and RC bounce messages may cross).
   void ingest(const Header& hdr, std::span<const std::uint8_t> payload);
   void handle_msg(const Header& hdr, std::span<const std::uint8_t> payload);
   void handle_send_cqe(const hca::Cqe& cqe);
@@ -377,10 +369,8 @@ class Comm {
   // Bounce buffers.
   VirtAddr send_region_ = 0;
   VirtAddr recv_region_ = 0;
-  VirtAddr ud_region_ = 0;   // UD datagram landing slots (one pool)
   verbs::Mr send_mr_;
   verbs::Mr recv_mr_;
-  verbs::Mr ud_mr_;
   std::vector<int> free_send_slots_;
   /// When the most recent slot was released (a blocked take_send_slot
   /// on another track resumes at this time; see Request::done_at).

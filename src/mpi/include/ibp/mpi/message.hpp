@@ -37,7 +37,8 @@ struct Header {
   std::uint64_t req = 0;    // sender-side request id (rendezvous matching)
   std::uint64_t raddr = 0;  // CTS: receiver buffer address
   // Per (src, dst) flow sequence number: restores envelope order when
-  // messages ride different transports (UD datagrams vs RC bounce/RDMA).
+  // messages ride different transports (ring records vs RC bounce, e.g.
+  // after a ring ran out of credit).
   std::uint32_t seq = 0;
   std::uint32_t pad = 0;
 };

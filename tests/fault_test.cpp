@@ -60,6 +60,9 @@ TEST(FaultPlan, RejectsMalformed) {
   EXPECT_THROW(fault::parse_fault_plan("no directive here"), SimError);
   EXPECT_THROW(fault::parse_fault_plan("crash=2"), SimError);
   EXPECT_THROW(fault::parse_fault_plan("recover=@100"), SimError);
+  // QPs are numbered from 1; '*' (not 0) means any.
+  EXPECT_THROW(fault::parse_fault_plan("qpkill=1:0:300"), SimError);
+  EXPECT_THROW(fault::parse_fault_plan("qpkill=1:x:300"), SimError);
 }
 
 TEST(FaultPlan, ParsesCrashAndRecoverDirectives) {
@@ -439,36 +442,66 @@ TEST(MpiFault, SameSeedSameVirtualTime) {
 }
 
 TEST(MpiFault, QpKillRecoveredByRepostPolicy) {
-  core::ClusterConfig cfg;
-  cfg.nodes = 2;
-  cfg.ranks_per_node = 1;
-  cfg.fault = fault::parse_fault_plan("qpkill=1:*:300");
-  core::Cluster cluster(cfg);
+  // On 2x1 each node has one QP, numbered 1: '*' and an explicit 1 name
+  // the same QP.
+  for (const char* spec : {"qpkill=1:*:300", "qpkill=1:1:300"}) {
+    SCOPED_TRACE(spec);
+    core::ClusterConfig cfg;
+    cfg.nodes = 2;
+    cfg.ranks_per_node = 1;
+    cfg.fault = fault::parse_fault_plan(spec);
+    core::Cluster cluster(cfg);
 
-  constexpr std::uint64_t kLen = 64 * kKiB;
-  constexpr int kIters = 20;  // spans well past the kill at 300 us
-  std::vector<std::uint64_t> recoveries(2, 0);
-  cluster.run([&](core::RankEnv& env) {
-    mpi::CommConfig ccfg;
-    ccfg.recovery = mpi::CommConfig::Recovery::Repost;
-    mpi::Comm comm(env, ccfg);
-    const int me = env.rank();
-    const int other = 1 - me;
-    const VirtAddr sbuf = env.alloc(kLen);
-    const VirtAddr rbuf = env.alloc(kLen);
-    auto sb = env.space().host_span(sbuf, kLen);
-    for (std::uint64_t i = 0; i < kLen; ++i)
-      sb[i] = static_cast<std::uint8_t>(i * 31 + me);
-    for (int it = 0; it < kIters; ++it) {
-      comm.sendrecv(sbuf, kLen, other, it, rbuf, kLen, other, it);
-      auto rb = env.space().host_span(rbuf, kLen);
-      for (std::uint64_t i = 0; i < kLen; i += 499)
-        ASSERT_EQ(rb[i], static_cast<std::uint8_t>(i * 31 + other));
+    constexpr std::uint64_t kLen = 64 * kKiB;
+    constexpr int kIters = 20;  // spans well past the kill at 300 us
+    std::vector<std::uint64_t> recoveries(2, 0);
+    cluster.run([&](core::RankEnv& env) {
+      mpi::CommConfig ccfg;
+      ccfg.recovery = mpi::CommConfig::Recovery::Repost;
+      mpi::Comm comm(env, ccfg);
+      const int me = env.rank();
+      const int other = 1 - me;
+      const VirtAddr sbuf = env.alloc(kLen);
+      const VirtAddr rbuf = env.alloc(kLen);
+      auto sb = env.space().host_span(sbuf, kLen);
+      for (std::uint64_t i = 0; i < kLen; ++i)
+        sb[i] = static_cast<std::uint8_t>(i * 31 + me);
+      for (int it = 0; it < kIters; ++it) {
+        comm.sendrecv(sbuf, kLen, other, it, rbuf, kLen, other, it);
+        auto rb = env.space().host_span(rbuf, kLen);
+        for (std::uint64_t i = 0; i < kLen; i += 499)
+          ASSERT_EQ(rb[i], static_cast<std::uint8_t>(i * 31 + other));
+      }
+      recoveries[static_cast<std::size_t>(me)] = comm.stats().recoveries;
+    });
+    EXPECT_EQ(cluster.fault()->stats().qp_errors_fired, 1u);
+    EXPECT_GT(recoveries[0] + recoveries[1], 0u);  // and the run completed
+  }
+}
+
+// A qpkill aimed at a node or QP the cluster lacks would never fire: the
+// Cluster refuses it at construction, naming the directive and the range.
+TEST(MpiFault, QpKillOnMissingTargetFailsAtSetup) {
+  const auto setup_error = [](const char* spec) {
+    core::ClusterConfig cfg;
+    cfg.nodes = 2;
+    cfg.ranks_per_node = 2;  // 2 ranks x 2 remote peers: QPs 1..4 per node
+    cfg.fault = fault::parse_fault_plan(spec);
+    try {
+      core::Cluster cluster(cfg);
+    } catch (const SimError& e) {
+      return std::string(e.what());
     }
-    recoveries[static_cast<std::size_t>(me)] = comm.stats().recoveries;
-  });
-  EXPECT_EQ(cluster.fault()->stats().qp_errors_fired, 1u);
-  EXPECT_GT(recoveries[0] + recoveries[1], 0u);  // and the run completed
+    return std::string();
+  };
+  const std::string node = setup_error("qpkill=2:1:300");
+  EXPECT_NE(node.find("qpkill=2:1:300"), std::string::npos) << node;
+  EXPECT_NE(node.find("valid nodes are 0..1"), std::string::npos) << node;
+  const std::string qp = setup_error("qpkill=*:5:300");
+  EXPECT_NE(qp.find("qpkill=*:5:300"), std::string::npos) << qp;
+  EXPECT_NE(qp.find("valid QPs per node are 1..4"), std::string::npos) << qp;
+  EXPECT_EQ(setup_error("qpkill=1:4:300"), "");
+  EXPECT_EQ(setup_error("qpkill=*:*:300"), "");
 }
 
 // A fatally lost one-sided write (retry budget exhausted) must place no

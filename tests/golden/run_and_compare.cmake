@@ -1,7 +1,6 @@
 # Runs a bench with --short --json=<tmp> and byte-compares the JSON
-# against a checked-in golden file. Used by the rpc_loadgen_t1_golden
-# test to pin the T=1 / single-track output: the threading refactor must
-# keep legacy single-threaded runs bit-identical.
+# against a checked-in golden file. A bench that exits non-zero (e.g. a
+# self-asserted floor) fails the test too.
 #
 # Arguments (via -D):
 #   BIN     — bench executable
@@ -21,6 +20,6 @@ execute_process(
   RESULT_VARIABLE diff)
 if(NOT diff EQUAL 0)
   message(FATAL_ERROR
-          "${OUT} differs from golden ${GOLDEN}: the single-track output "
-          "is no longer byte-identical")
+          "${OUT} differs from golden ${GOLDEN}: the bench's --short --json "
+          "output is no longer byte-identical")
 endif()

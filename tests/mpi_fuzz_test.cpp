@@ -65,15 +65,13 @@ struct FuzzParam {
   bool hugepages;
   bool rndv_read;
   std::uint64_t seed;
-  bool ud_eager = false;
   bool rdma_eager = false;
 };
 
 class MpiFuzz : public ::testing::TestWithParam<FuzzParam> {};
 
 TEST_P(MpiFuzz, RandomTrafficMatchesOracle) {
-  const auto [nodes, rpn, hugepages, rndv_read, seed, ud_eager, rdma_eager] =
-      GetParam();
+  const auto [nodes, rpn, hugepages, rndv_read, seed, rdma_eager] = GetParam();
   const int nranks = nodes * rpn;
   const Plan plan = make_plan(nranks, seed, 60);
 
@@ -84,7 +82,6 @@ TEST_P(MpiFuzz, RandomTrafficMatchesOracle) {
   core::Cluster cluster(cfg);
   CommConfig ccfg;
   ccfg.rndv_read = rndv_read;
-  ccfg.ud_eager = ud_eager;
   ccfg.rdma_eager = rdma_eager;
 
   cluster.run([&](core::RankEnv& env) {
@@ -142,21 +139,16 @@ INSTANTIATE_TEST_SUITE_P(
                       FuzzParam{2, 3, true, false, 6},
                       FuzzParam{2, 1, false, true, 7},
                       FuzzParam{3, 2, false, false, 8},
-                      FuzzParam{2, 2, false, false, 9, true},
-                      FuzzParam{2, 4, true, false, 10, true},
-                      FuzzParam{2, 1, false, true, 11, true},
-                      FuzzParam{3, 2, false, false, 12, true},
-                      FuzzParam{2, 1, false, false, 13, false, true},
-                      FuzzParam{2, 2, false, false, 14, false, true},
-                      FuzzParam{2, 4, true, false, 15, false, true},
-                      FuzzParam{3, 2, true, true, 16, false, true}),
+                      FuzzParam{2, 1, false, false, 13, true},
+                      FuzzParam{2, 2, false, false, 14, true},
+                      FuzzParam{2, 4, true, false, 15, true},
+                      FuzzParam{3, 2, true, true, 16, true}),
     [](const auto& info) {
       const auto& p = info.param;
       return std::to_string(p.nodes) + "x" + std::to_string(p.rpn) +
              (p.hugepages ? "_huge" : "_small") +
              (p.rndv_read ? "_read" : "_write") +
-             (p.ud_eager ? "_ud" : "") + (p.rdma_eager ? "_ring" : "") +
-             "_s" + std::to_string(p.seed);
+             (p.rdma_eager ? "_ring" : "") + "_s" + std::to_string(p.seed);
     });
 
 }  // namespace

@@ -98,6 +98,7 @@ TEST(RingChanMpi, CreditExhaustionFallsBackToTwoSided) {
   mc.ring.slab_bytes = 8 * kKiB;
   mc.ring.max_record = 1024;
   mpi::CommStats sender;
+  mpi::CommStats receiver;
   cluster.run([&](core::RankEnv& env) {
     mpi::Comm comm(env, mc);
     const int n = 30;
@@ -119,12 +120,16 @@ TEST(RingChanMpi, CreditExhaustionFallsBackToTwoSided) {
         comm.recv(buf, len, 0, 3);
         check(env, buf, static_cast<std::uint64_t>(i), len);
       }
+      receiver = comm.stats();
     }
     comm.barrier();
   });
   EXPECT_GT(sender.rdma_eager_sent, 0u);
   EXPECT_GT(sender.rdma_eager_fallbacks, 0u)
       << "an 8 KiB ring cannot hold 30 x 512 B records without credit";
+  // Ring records and RC-bounce fallbacks share one envelope and arrive
+  // out of sequence: the receiver's reorder buffer restores the order.
+  EXPECT_GT(receiver.reordered, 0u);
 }
 
 // Messages above ring.max_record never touch the ring.

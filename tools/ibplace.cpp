@@ -99,7 +99,6 @@ struct Options {
   hca::ShareMode share_mode = hca::ShareMode::SharedLocked;  // rpc: QP/CQ
                                                              // sharing
   bool rdma_eager = false;  // rpc/fabric: one-sided ring channels
-  bool ud_eager = false;    // rpc/fabric: hybrid UD datagram tier
 };
 
 [[noreturn]] void usage(const char* msg = nullptr) {
@@ -124,15 +123,17 @@ struct Options {
                "         --placement-role=ROLE=POLICY (repeatable)\n"
                "         --fault=SPEC --fault-file=PATH\n"
                "         --recovery=failfast|repost\n"
-               "         --rdma-eager=0|1 --ud-eager=0|1 (rpc/fabric)\n"
+               "         --rdma-eager=0|1 (rpc/fabric)\n"
                "         --metrics-out=PATH --trace-out=PATH\n"
                "         --metrics-filter=PREFIX --json=PATH\n"
                "         --request-trace-out=PATH\n"
                "fault SPEC: ';'-separated directives, e.g.\n"
                "  drop=0-1:0.01 | corrupt=*-*:0.001:50-200 |\n"
-               "  storm=1:100-400 | qpkill=0:2:250 |\n"
+               "  storm=1:100-400 | qpkill=0:2:250 | qpkill=1:*:300 |\n"
                "  crash=2:1500 | recover=2:4000 | seed=7\n"
-               "  (times in us; '*' = any node / open-ended window)\n");
+               "  (times in us; '*' = any node / open-ended window;\n"
+               "   qpkill QPs are numbered 1..N per node in wiring order,\n"
+               "   '*' = the first QP on the node to act after AT)\n");
   std::exit(2);
 }
 
@@ -143,9 +144,26 @@ bool parse_flag(const char* arg, const char* name, std::string* out) {
   return true;
 }
 
+/// A NAME=0|1 flag; any other value (e.g. "true") is a usage error that
+/// names the flag instead of silently reading as off.
+bool parse_bool_flag(const char* arg, const char* name, bool* out) {
+  std::string v;
+  if (!parse_flag(arg, name, &v)) return false;
+  if (v != "0" && v != "1")
+    usage((std::string(name) + " must be 0 or 1, got '" + v + "'").c_str());
+  *out = v == "1";
+  return true;
+}
+
 Options parse_options(int argc, char** argv, int first) {
   Options o;
   for (int i = first; i < argc; ++i) {
+    if (parse_bool_flag(argv[i], "--hugepages", &o.hugepages) ||
+        parse_bool_flag(argv[i], "--lazy", &o.lazy) ||
+        parse_bool_flag(argv[i], "--patched", &o.patched) ||
+        parse_bool_flag(argv[i], "--rndv-read", &o.rndv_read) ||
+        parse_bool_flag(argv[i], "--rdma-eager", &o.rdma_eager))
+      continue;
     std::string v;
     if (parse_flag(argv[i], "--platform", &v)) {
       o.platform = v;
@@ -153,14 +171,6 @@ Options parse_options(int argc, char** argv, int first) {
       o.nodes = std::atoi(v.c_str());
     } else if (parse_flag(argv[i], "--rpn", &v)) {
       o.rpn = std::atoi(v.c_str());
-    } else if (parse_flag(argv[i], "--hugepages", &v)) {
-      o.hugepages = v == "1";
-    } else if (parse_flag(argv[i], "--lazy", &v)) {
-      o.lazy = v == "1";
-    } else if (parse_flag(argv[i], "--patched", &v)) {
-      o.patched = v == "1";
-    } else if (parse_flag(argv[i], "--rndv-read", &v)) {
-      o.rndv_read = v == "1";
     } else if (parse_flag(argv[i], "--iters", &v)) {
       o.iters = std::atoi(v.c_str());
     } else if (parse_flag(argv[i], "--scale", &v)) {
@@ -198,10 +208,6 @@ Options parse_options(int argc, char** argv, int first) {
       o.shard_map = v;
     } else if (parse_flag(argv[i], "--threads", &v)) {
       o.threads = std::atoi(v.c_str());
-    } else if (parse_flag(argv[i], "--rdma-eager", &v)) {
-      o.rdma_eager = v == "1";
-    } else if (parse_flag(argv[i], "--ud-eager", &v)) {
-      o.ud_eager = v == "1";
     } else if (parse_flag(argv[i], "--share-mode", &v)) {
       if (!hca::share_mode_from_name(v, &o.share_mode))
         usage(("unknown share mode '" + v +
@@ -443,7 +449,6 @@ loadgen::GenResult run_rpc_once(const Options& o, bool open, bool batching,
     mpi::CommConfig mc;
     mc.sge_gather = true;
     mc.rdma_eager = o.rdma_eager;
-    mc.ud_eager = o.ud_eager;
     mc.recovery = o.recovery == "repost" ? mpi::CommConfig::Recovery::Repost
                                          : mpi::CommConfig::Recovery::FailFast;
     mpi::Comm comm(env, mc);
@@ -633,7 +638,6 @@ int cmd_fabric(const Options& o) {
     mpi::CommConfig mc;
     mc.sge_gather = true;
     mc.rdma_eager = o.rdma_eager;
-    mc.ud_eager = o.ud_eager;
     mc.recovery = o.recovery == "repost" ? mpi::CommConfig::Recovery::Repost
                                          : mpi::CommConfig::Recovery::FailFast;
     mpi::Comm comm(env, mc);
