@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <type_traits>
 #include <vector>
 
 #include "ibp/mpi/comm.hpp"
@@ -46,12 +47,19 @@ void fill(core::RankEnv& env, VirtAddr va, std::uint64_t len,
 struct SweepParam {
   std::uint64_t bytes;
   bool intra_node;
+  // gtest names each case after a byte dump of this struct. Left as
+  // padding, these bytes dump whatever the stack held, so the names
+  // changed from build to build; spelled out, they are always zero.
+  std::uint8_t zero_tail[7] = {};
 };
+static_assert(std::has_unique_object_representations_v<SweepParam>,
+              "SweepParam must have no padding bytes");
 
 class ProtocolSweep : public ::testing::TestWithParam<SweepParam> {};
 
 TEST_P(ProtocolSweep, PayloadIntact) {
-  const auto [bytes, intra] = GetParam();
+  const std::uint64_t bytes = GetParam().bytes;
+  const bool intra = GetParam().intra_node;
   core::Cluster cluster(intra ? topo(1, 2) : topo(2, 1));
   cluster.run([&](core::RankEnv& env) {
     Comm comm(env);
