@@ -47,8 +47,10 @@ Handler default_handler() {
         rq.response_cap != 0 ? rq.response_cap : rq.payload_len;
     const std::uint32_t n = std::min(want, cap);
     const std::uint32_t c = std::min(rq.payload_len, n);
-    std::memcpy(out, rq.payload, c);
-    std::memset(out + c, 0, n - c);
+    // An empty request or response may come with null pointers, which
+    // memcpy and memset must not be given even for zero bytes.
+    if (c != 0) std::memcpy(out, rq.payload, c);
+    if (n != c) std::memset(out + c, 0, n - c);
     return n;
   };
 }

@@ -1,17 +1,121 @@
 #include "ibp/sim/engine.hpp"
 
-#include <algorithm>
+#include <sys/mman.h>
+#include <ucontext.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <utility>
+
+#ifdef __SANITIZE_ADDRESS__
+#include <sanitizer/asan_interface.h>
+#include <sanitizer/common_interface_defs.h>
+#endif
 
 namespace ibp::sim {
 namespace {
 
-/// Internal unwind signal used when the run is aborted by another rank's
-/// error; never surfaced to the user.
+/// Thrown into a lane that run() resumes after the run aborted, so that
+/// the lane unwinds; never surfaced to the user.
 struct AbortSignal {};
 
+/// Every lane gets the 8 MiB stack a Linux thread gets by default. The
+/// mapping reserves no swap and commits only the pages a lane touches.
+constexpr std::size_t kStackBytes = std::size_t{8} << 20;
+
+std::size_t page_bytes() {
+  static const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  return page;
+}
+
+/// Unmaps a lane stack: the guard page at `base` and the stack above it.
+struct StackUnmap {
+  void operator()(char* base) const {
+    munmap(base, page_bytes() + kStackBytes);
+  }
+};
+using Stack = std::unique_ptr<char, StackUnmap>;
+
+Stack map_stack() {
+  void* p = mmap(nullptr, page_bytes() + kStackBytes, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1,
+                 0);
+  IBP_CHECK(p != MAP_FAILED, "cannot map a lane stack: "
+                                 << std::strerror(errno));
+  Stack stack(static_cast<char*>(p));
+  // The stack grows down: an overflow hits the guard page and faults
+  // instead of running into a neighbouring mapping.
+  IBP_CHECK(mprotect(p, page_bytes(), PROT_NONE) == 0,
+            "cannot protect a lane stack's guard page: "
+                << std::strerror(errno));
+  return stack;
+}
+
 }  // namespace
+
+struct Engine::TrackState {
+  TimePs time = 0;
+  State state = State::NotStarted;
+  // The waiting caller's predicate, valid while Blocked: wait_until()'s
+  // argument outlives the wait.
+  const std::function<std::optional<TimePs>()>* pred = nullptr;
+  RankId rank = 0;
+  RankFn fn;              // the lane's program
+  Stack stack;            // null for the host; released when run() returns
+  bool started = false;   // the fiber has been entered
+  ucontext_t uc{};
+#ifdef __SANITIZE_ADDRESS__
+  // Stack bounds for the switch annotations.
+  const void* asan_bottom = nullptr;
+  std::size_t asan_size = 0;
+#endif
+
+  /// Give this lane a stack and a context that enters eng->lane_main().
+  void make_fiber(Engine* eng) {
+    stack = map_stack();
+    char* bottom = stack.get() + page_bytes();
+    getcontext(&uc);
+    uc.uc_stack.ss_sp = bottom;
+    uc.uc_stack.ss_size = kStackBytes;
+    uc.uc_link = nullptr;
+    const auto e = reinterpret_cast<std::uintptr_t>(eng);
+    makecontext(&uc, reinterpret_cast<void (*)()>(&entry), 2,
+                static_cast<unsigned>(std::uint64_t{e} >> 32),
+                static_cast<unsigned>(e));
+#ifdef __SANITIZE_ADDRESS__
+    asan_bottom = bottom;
+    asan_size = kStackBytes;
+#endif
+  }
+
+  /// makecontext passes only int arguments: the engine arrives in halves.
+  static void entry(unsigned hi, unsigned lo) {
+    const std::uint64_t e = (std::uint64_t{hi} << 32) | lo;
+    reinterpret_cast<Engine*>(static_cast<std::uintptr_t>(e))->lane_main();
+  }
+};
+
+Engine::Engine(int nranks) : ranks_(static_cast<std::size_t>(nranks)) {
+  IBP_CHECK(nranks > 0, "engine needs at least one rank");
+  for (int r = 0; r < nranks; ++r) {
+    auto& ts = ranks_[static_cast<std::size_t>(r)].tracks.emplace_back(
+        std::make_unique<TrackState>());
+    ts->rank = r;
+  }
+}
+
+Engine::~Engine() = default;
+
+TimePs Engine::final_time(RankId r) const {
+  const auto& rk = ranks_.at(static_cast<std::size_t>(r));
+  TimePs m = 0;
+  for (const auto& ts : rk.tracks) m = std::max(m, ts->time);
+  return m;
+}
 
 TimePs Engine::now_of(RankId r) const {
   const auto& rk = ranks_[static_cast<std::size_t>(r)];
@@ -41,174 +145,91 @@ void Engine::run(const std::vector<RankFn>& fns) {
     IBP_CHECK(rk.tracks[0]->state == State::NotStarted,
               "Engine::run is single-use");
 
-  for (auto& rk : ranks_) rk.tracks[0]->state = State::Runnable;
-
-  std::vector<std::thread> threads;
-  threads.reserve(ranks_.size());
-  for (int r = 0; r < nranks(); ++r) {
-    threads.emplace_back([this, r, &fns] {
-      Context ctx(this, r);
-      auto& ts = *ranks_[static_cast<std::size_t>(r)].tracks[0];
-      try {
-        {
-          std::unique_lock<std::mutex> lock(mu_);
-          await_turn(lock, r, 0);
-        }
-        fns[static_cast<std::size_t>(r)](ctx);
-        std::unique_lock<std::mutex> lock(mu_);
-        ts.state = State::Finished;
-        ts.active = false;
-        schedule_next(lock);
-      } catch (const AbortSignal&) {
-        // Another rank failed; just unwind quietly.
-      } catch (...) {
-        std::unique_lock<std::mutex> lock(mu_);
-        ts.state = State::Finished;
-        ts.active = false;
-        abort_all(lock, std::current_exception());
-      }
-    });
+  for (std::size_t r = 0; r < ranks_.size(); ++r) {
+    auto& ts = *ranks_[r].tracks[0];
+    ts.fn = fns[r];
+    ts.make_fiber(this);
+    ts.state = State::Runnable;
   }
 
-  {
-    // Kick off the first lane.
-    std::unique_lock<std::mutex> lock(mu_);
-    bool any_active = false;
-    for (const auto& rk : ranks_)
-      for (const auto& ts : rk.tracks) any_active |= ts->active;
-    if (!any_active && !aborted_) schedule_next(lock);
-  }
+  TrackState host;
+  host_ = running_ = &host;
+  if (TrackState* first = schedule_next()) switch_to(*first);
 
-  for (auto& t : threads) t.join();
+  // Back on the host: every lane finished, or the run aborted. Each lane
+  // still suspended mid-program throws AbortSignal when resumed, unwinds
+  // its stack and returns here.
+  for (auto& rk : ranks_)
+    for (auto& ts : rk.tracks)
+      if (ts->started && ts->state != State::Finished) switch_to(*ts);
 
-  // Reap spawned-track OS threads (they exit once their track finishes or
-  // the run aborts; unjoined tracks are still driven by the scheduler
-  // until every lane is done). Spawning can append to the track vectors
-  // until the last lane exits, so rescan until no joinable thread is left.
-  for (;;) {
-    std::thread th;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      for (auto& rk : ranks_) {
-        for (auto& ts : rk.tracks) {
-          if (ts->thread.joinable()) {
-            th = std::move(ts->thread);
-            break;
-          }
-        }
-        if (th.joinable()) break;
-      }
-    }
-    if (!th.joinable()) break;
-    th.join();
-  }
-
+  for (auto& rk : ranks_)
+    for (auto& ts : rk.tracks) ts->stack.reset();
+  host_ = running_ = nullptr;
   if (error_) std::rethrow_exception(error_);
 }
 
-void Engine::advance_rank(RankId r, TimePs dt) {
+Engine::TrackState& Engine::running_lane(RankId r, const char* what) {
   auto& rk = ranks_[static_cast<std::size_t>(r)];
-  std::unique_lock<std::mutex> lock(mu_);
+  TrackState& ts = *rk.tracks[static_cast<std::size_t>(rk.cur)];
+  IBP_CHECK(&ts == running_, "" << what << " outside of scheduled execution");
+  return ts;
+}
+
+void Engine::advance_rank(RankId r, TimePs dt) {
   // During an abort, destructors on unwinding stacks may still call
   // advance(); the run is over, so let them through as no-ops.
   if (aborted_) return;
-  const TrackId t = rk.cur;
-  auto& ts = *rk.tracks[static_cast<std::size_t>(t)];
-  IBP_CHECK(ts.active, "advance() outside of scheduled execution");
+  TrackState& ts = running_lane(r, "advance()");
   ts.time += dt;
-  ts.active = false;
-  schedule_next(lock);
-  await_turn(lock, r, t);
+  yield_turn(ts);
 }
 
 void Engine::yield_rank(RankId r) { advance_rank(r, 0); }
 
 void Engine::wait_rank(RankId r,
                        const std::function<std::optional<TimePs>()>& pred) {
-  auto& rk = ranks_[static_cast<std::size_t>(r)];
-  std::unique_lock<std::mutex> lock(mu_);
   if (aborted_) return;
-  const TrackId t = rk.cur;
-  auto& ts = *rk.tracks[static_cast<std::size_t>(t)];
-  IBP_CHECK(ts.active, "wait_until() outside of scheduled execution");
+  TrackState& ts = running_lane(r, "wait_until()");
   ts.state = State::Blocked;
-  ts.pred = pred;
-  ts.active = false;
-  schedule_next(lock);
-  await_turn(lock, r, t);
+  ts.pred = &pred;
+  yield_turn(ts);
   ts.pred = nullptr;
 }
 
 TrackId Engine::spawn_track(RankId r, std::function<void(Context&)> fn) {
-  auto& rk = ranks_[static_cast<std::size_t>(r)];
-  std::unique_lock<std::mutex> lock(mu_);
   if (aborted_) return -1;  // unwinding; the track will never run
-  auto& parent = *rk.tracks[static_cast<std::size_t>(rk.cur)];
-  IBP_CHECK(parent.active, "spawn_track() outside of scheduled execution");
+  auto& rk = ranks_[static_cast<std::size_t>(r)];
+  const TrackState& parent = running_lane(r, "spawn_track()");
 
-  const TrackId id = static_cast<TrackId>(rk.tracks.size());
-  rk.tracks.push_back(std::make_unique<TrackState>());
-  auto& ts = *rk.tracks.back();
-  ts.time = parent.time;
-  ts.state = State::Runnable;
-  // The spawner keeps its turn; the new track parks in await_turn until
-  // the scheduler picks its (time, rank, track) key.
-  ts.thread = std::thread(
-      [this, r, id, fn = std::move(fn)] { track_body(r, id, fn); });
-  return id;
-}
-
-void Engine::track_body(RankId r, TrackId t,
-                        const std::function<void(Context&)>& fn) {
-  Context ctx(this, r);
-  TrackState* tsp = nullptr;
-  {
-    // The spawner is still running and may grow the track vector; fetch
-    // the (heap-stable) TrackState under the lock.
-    std::unique_lock<std::mutex> lock(mu_);
-    tsp = ranks_[static_cast<std::size_t>(r)].tracks[
-        static_cast<std::size_t>(t)].get();
-  }
-  auto& ts = *tsp;
-  try {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      await_turn(lock, r, t);
-    }
-    fn(ctx);
-    std::unique_lock<std::mutex> lock(mu_);
-    ts.state = State::Finished;
-    ts.active = false;
-    schedule_next(lock);
-  } catch (const AbortSignal&) {
-    // Another lane failed; just unwind quietly.
-  } catch (...) {
-    std::unique_lock<std::mutex> lock(mu_);
-    ts.state = State::Finished;
-    ts.active = false;
-    abort_all(lock, std::current_exception());
-  }
+  auto ts = std::make_unique<TrackState>();
+  ts->time = parent.time;
+  ts->rank = r;
+  ts->fn = std::move(fn);
+  ts->make_fiber(this);
+  // The spawner keeps its turn; the new track first runs when the
+  // scheduler picks its (time, rank, track) key.
+  ts->state = State::Runnable;
+  rk.tracks.push_back(std::move(ts));
+  return static_cast<TrackId>(rk.tracks.size() - 1);
 }
 
 void Engine::join_track(RankId r, TrackId t) {
-  TrackState* ts = nullptr;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    auto& rk = ranks_[static_cast<std::size_t>(r)];
-    IBP_CHECK(t > 0 && t < static_cast<TrackId>(rk.tracks.size()),
-              "join_track: no such spawned track");
-    IBP_CHECK(t != rk.cur, "join_track: a track cannot join itself");
-    ts = rk.tracks[static_cast<std::size_t>(t)].get();
-  }
+  auto& rk = ranks_[static_cast<std::size_t>(r)];
+  IBP_CHECK(t > 0 && t < static_cast<TrackId>(rk.tracks.size()),
+            "join_track: no such spawned track");
+  IBP_CHECK(t != rk.cur, "join_track: a track cannot join itself");
+  const TrackState* ts = rk.tracks[static_cast<std::size_t>(t)].get();
   wait_rank(r, [ts]() -> std::optional<TimePs> {
     if (ts->state != State::Finished) return std::nullopt;
     return ts->time;
   });
 }
 
-void Engine::schedule_next(std::unique_lock<std::mutex>& lock) {
-  (void)lock;
-  if (aborted_) return;
+// A predicate or the sampler that throws ends the run with its error, as
+// a throwing lane does.
+Engine::TrackState* Engine::schedule_next() noexcept try {
+  if (aborted_) return nullptr;
 
   // Candidate = every runnable lane at its clock, plus every blocked lane
   // whose predicate is ready, at max(clock, ready time). Choosing the
@@ -238,7 +259,7 @@ void Engine::schedule_next(std::unique_lock<std::mutex>& lock) {
           best_blocked = false;
         }
       } else if (ts.state == State::Blocked) {
-        const auto ready = ts.pred();
+        const auto ready = (*ts.pred)();
         if (ready) {
           const TimePs t = std::max(ts.time, *ready);
           if (t < best_time) {
@@ -254,14 +275,14 @@ void Engine::schedule_next(std::unique_lock<std::mutex>& lock) {
   }
 
   if (!any_unfinished) {
-    // Run complete; Engine::run joins the exiting threads.
-    return;
+    // Run complete; the last lane returns to Engine::run.
+    return nullptr;
   }
   if (best_rank < 0) {
-    abort_all(lock, std::make_exception_ptr(SimError(
-                        "virtual-time deadlock: every unfinished rank is "
-                        "blocked with no ready predicate")));
-    return;
+    abort_all(std::make_exception_ptr(SimError(
+        "virtual-time deadlock: every unfinished rank is "
+        "blocked with no ready predicate")));
+    return nullptr;
   }
 
   // The chosen (time, rank, track) key is the global frontier: no
@@ -281,25 +302,74 @@ void Engine::schedule_next(std::unique_lock<std::mutex>& lock) {
     next.time = best_ready;
   }
   rk.cur = best_track;
-  next.active = true;
-  next.cv.notify_one();
+  return &next;
+} catch (...) {
+  abort_all(std::current_exception());
+  return nullptr;
 }
 
-void Engine::await_turn(std::unique_lock<std::mutex>& lock, RankId r,
-                        TrackId t) {
-  auto& ts = *ranks_[static_cast<std::size_t>(r)].tracks[
-      static_cast<std::size_t>(t)];
-  ts.cv.wait(lock, [&] { return ts.active || aborted_; });
+void Engine::yield_turn(TrackState& self) {
+  TrackState* next = schedule_next();
+  if (next == &self) return;
+  switch_to(next ? *next : *host_);
   if (aborted_) throw AbortSignal{};
 }
 
-void Engine::abort_all(std::unique_lock<std::mutex>& lock,
-                       std::exception_ptr err) {
-  (void)lock;
+void Engine::switch_to(TrackState& to) {
+  TrackState& from = *running_;
+  running_ = &to;
+#ifdef __SANITIZE_ADDRESS__
+  // A finished lane never resumes. Clear the redzones of the frames it
+  // leaves on its stack, which a later mapping may reuse, and pass no
+  // save slot so that ASan frees its fake stack.
+  const bool exiting = from.state == State::Finished;
+  if (exiting) __asan_handle_no_return();
+  void* fake_stack = nullptr;
+  __sanitizer_start_switch_fiber(exiting ? nullptr : &fake_stack,
+                                 to.asan_bottom, to.asan_size);
+#endif
+  swapcontext(&from.uc, &to.uc);
+#ifdef __SANITIZE_ADDRESS__
+  __sanitizer_finish_switch_fiber(fake_stack, nullptr, nullptr);
+#endif
+}
+
+void Engine::lane_main() {
+#ifdef __SANITIZE_ADDRESS__
+  // The first lane is entered from run(): learn the host's stack bounds
+  // for the switches back to it.
+  const void* from_bottom = nullptr;
+  std::size_t from_size = 0;
+  __sanitizer_finish_switch_fiber(nullptr, &from_bottom, &from_size);
+  if (host_->asan_size == 0) {
+    host_->asan_bottom = from_bottom;
+    host_->asan_size = from_size;
+  }
+#endif
+  TrackState& ts = *running_;
+  ts.started = true;
+  // Every exception stops here: there is no frame above this one to take
+  // it. Switching away happens only after the handler has been left, as
+  // the runtime's caught-exception stack is shared by all fibers.
+  std::exception_ptr err;
+  try {
+    Context ctx(this, ts.rank);
+    ts.fn(ctx);
+  } catch (const AbortSignal&) {
+    // run() resumed this lane to unwind it after the run aborted.
+  } catch (...) {
+    err = std::current_exception();
+  }
+  ts.state = State::Finished;
+  if (err) abort_all(std::move(err));
+  TrackState* next = schedule_next();
+  switch_to(next ? *next : *host_);
+  std::abort();  // nothing resumes a finished lane
+}
+
+void Engine::abort_all(std::exception_ptr err) noexcept {
   if (!error_) error_ = std::move(err);
   aborted_ = true;
-  for (auto& rk : ranks_)
-    for (auto& ts : rk.tracks) ts->cv.notify_all();
 }
 
 }  // namespace ibp::sim

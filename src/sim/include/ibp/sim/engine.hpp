@@ -2,12 +2,14 @@
 
 // Deterministic virtual-time execution engine.
 //
-// Each simulated rank runs its program on a dedicated OS thread, but the
-// engine admits exactly one execution lane at a time: always the runnable
-// lane with the smallest (virtual time, rank id, track id) key. Lanes
-// consume virtual time via Context::advance() and block on conditions via
+// Each simulated rank runs its program as a fiber: a user-space context
+// with its own stack, on the thread that calls Engine::run(). The engine
+// admits exactly one execution lane at a time: always the runnable lane
+// with the smallest (virtual time, rank id, track id) key. Lanes consume
+// virtual time via Context::advance() and block on conditions via
 // Context::wait_until(), whose predicate reports the earliest virtual time
-// the condition holds.
+// the condition holds. Each such call picks the next lane and switches to
+// it directly; a lane that is still at the front keeps running.
 //
 // A rank may model T application threads as *tracks*: TrackId-addressed
 // virtual-time lanes spawned with Context::spawn_track() and awaited with
@@ -19,18 +21,17 @@
 // engine.
 //
 // Because execution is serialized in global virtual-time order, shared
-// simulation state (queues, adapters, memory) needs no further locking and
-// every run is bit-reproducible. If every unfinished lane is blocked with
-// no predicate ready, the engine raises a deadlock error on all ranks.
+// simulation state (queues, adapters, memory) needs no locking and every
+// run is bit-reproducible. If every unfinished lane is blocked with no
+// predicate ready, the engine raises a deadlock error. The first error
+// aborts the run: every suspended lane is resumed into an unwind, so the
+// destructors on its stack run, and run() rethrows the error.
 
-#include <condition_variable>
+#include <algorithm>
 #include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <string>
-#include <thread>
 #include <vector>
 
 #include "ibp/common/check.hpp"
@@ -109,12 +110,8 @@ class Engine {
  public:
   using RankFn = std::function<void(Context&)>;
 
-  explicit Engine(int nranks) : ranks_(static_cast<std::size_t>(nranks)) {
-    IBP_CHECK(nranks > 0, "engine needs at least one rank");
-    for (auto& rk : ranks_) {
-      rk.tracks.push_back(std::make_unique<TrackState>());
-    }
-  }
+  explicit Engine(int nranks);
+  ~Engine();
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -130,12 +127,7 @@ class Engine {
   /// Final virtual time of rank `r` after run() returned: the maximum
   /// final time across the rank's tracks (equal to the rank program's
   /// final time when every spawned track was joined).
-  TimePs final_time(RankId r) const {
-    const auto& rk = ranks_.at(static_cast<std::size_t>(r));
-    TimePs m = 0;
-    for (const auto& ts : rk.tracks) m = std::max(m, ts->time);
-    return m;
-  }
+  TimePs final_time(RankId r) const;
 
   /// Maximum final virtual time across ranks (the run's makespan).
   TimePs makespan() const {
@@ -162,14 +154,8 @@ class Engine {
 
   enum class State { NotStarted, Runnable, Blocked, Finished };
 
-  struct TrackState {
-    TimePs time = 0;
-    State state = State::NotStarted;
-    std::function<std::optional<TimePs>()> pred;  // valid while Blocked
-    std::condition_variable cv;
-    bool active = false;   // this track's thread may run right now
-    std::thread thread;    // spawned tracks only (track 0 joins in run())
-  };
+  /// One lane: its clock, scheduling state and fiber (engine.cpp).
+  struct TrackState;
 
   struct RankState {
     // tracks[0] is the rank program; spawned tracks append. Entries are
@@ -187,21 +173,29 @@ class Engine {
   TrackId spawn_track(RankId r, std::function<void(Context&)> fn);
   void join_track(RankId r, TrackId t);
 
-  /// Body of a spawned track's OS thread.
-  void track_body(RankId r, TrackId t, const std::function<void(Context&)>& fn);
+  /// The lane of rank `r` that holds the turn; checks it is the one
+  /// executing (`what` names the call for the error).
+  TrackState& running_lane(RankId r, const char* what);
 
-  /// Pick and wake the next lane; caller holds mu_ and has already cleared
-  /// its own `active` flag (or finished).
-  void schedule_next(std::unique_lock<std::mutex>& lock);
+  /// Pick the next lane and commit the choice; null when the run is over
+  /// (every lane finished, or aborted).
+  TrackState* schedule_next() noexcept;
 
-  /// Wait (on the track's cv) until it is this track's turn or the run
-  /// aborted.
-  void await_turn(std::unique_lock<std::mutex>& lock, RankId r, TrackId t);
+  /// Hand the turn to schedule_next()'s choice; returns once `self` is
+  /// picked again. Throws AbortSignal if the run aborted meanwhile.
+  void yield_turn(TrackState& self);
 
-  void abort_all(std::unique_lock<std::mutex>& lock, std::exception_ptr err);
+  /// Suspend the executing lane (or the host) and resume `to`.
+  void switch_to(TrackState& to);
+
+  /// Body of every lane's fiber: runs its program, then leaves for good.
+  [[noreturn]] void lane_main();
+
+  void abort_all(std::exception_ptr err) noexcept;
 
   std::vector<RankState> ranks_;
-  std::mutex mu_;
+  TrackState* host_ = nullptr;     // the caller of run(), while it runs
+  TrackState* running_ = nullptr;  // the lane executing now, or host_
   std::exception_ptr error_;
   bool aborted_ = false;
 

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <type_traits>
 #include <vector>
 
 #include "ibp/mpi/comm.hpp"
@@ -59,30 +60,37 @@ std::uint8_t payload_byte(std::uint32_t seq, std::uint64_t i) {
   return static_cast<std::uint8_t>(seq * 37 + i * 11 + (i >> 8));
 }
 
+// gtest names each case after a byte dump of this struct, so every byte
+// must be defined: padding would dump whatever the stack held. The gaps
+// after rndv_read and rdma_eager are spelled out as zeroed members.
 struct FuzzParam {
-  int nodes;
-  int rpn;
-  bool hugepages;
-  bool rndv_read;
-  std::uint64_t seed;
+  int nodes = 0;
+  int rpn = 0;
+  bool hugepages = false;
+  bool rndv_read = false;
+  std::uint8_t zero_pad[6] = {};
+  std::uint64_t seed = 0;
   bool rdma_eager = false;
+  std::uint8_t zero_tail[7] = {};
 };
+static_assert(std::has_unique_object_representations_v<FuzzParam>,
+              "FuzzParam must have no padding bytes");
 
 class MpiFuzz : public ::testing::TestWithParam<FuzzParam> {};
 
 TEST_P(MpiFuzz, RandomTrafficMatchesOracle) {
-  const auto [nodes, rpn, hugepages, rndv_read, seed, rdma_eager] = GetParam();
-  const int nranks = nodes * rpn;
-  const Plan plan = make_plan(nranks, seed, 60);
+  const FuzzParam& p = GetParam();
+  const int nranks = p.nodes * p.rpn;
+  const Plan plan = make_plan(nranks, p.seed, 60);
 
   core::ClusterConfig cfg;
-  cfg.nodes = nodes;
-  cfg.ranks_per_node = rpn;
-  cfg.hugepage_library = hugepages;
+  cfg.nodes = p.nodes;
+  cfg.ranks_per_node = p.rpn;
+  cfg.hugepage_library = p.hugepages;
   core::Cluster cluster(cfg);
   CommConfig ccfg;
-  ccfg.rndv_read = rndv_read;
-  ccfg.rdma_eager = rdma_eager;
+  ccfg.rndv_read = p.rndv_read;
+  ccfg.rdma_eager = p.rdma_eager;
 
   cluster.run([&](core::RankEnv& env) {
     Comm comm(env, ccfg);
@@ -131,18 +139,22 @@ TEST_P(MpiFuzz, RandomTrafficMatchesOracle) {
 
 INSTANTIATE_TEST_SUITE_P(
     Trials, MpiFuzz,
-    ::testing::Values(FuzzParam{2, 1, false, false, 1},
-                      FuzzParam{2, 2, false, false, 2},
-                      FuzzParam{2, 4, true, false, 3},
-                      FuzzParam{2, 2, true, true, 4},
-                      FuzzParam{1, 4, false, false, 5},
-                      FuzzParam{2, 3, true, false, 6},
-                      FuzzParam{2, 1, false, true, 7},
-                      FuzzParam{3, 2, false, false, 8},
-                      FuzzParam{2, 1, false, false, 13, true},
-                      FuzzParam{2, 2, false, false, 14, true},
-                      FuzzParam{2, 4, true, false, 15, true},
-                      FuzzParam{3, 2, true, true, 16, true}),
+    ::testing::Values(
+        FuzzParam{.nodes = 2, .rpn = 1, .seed = 1},
+        FuzzParam{.nodes = 2, .rpn = 2, .seed = 2},
+        FuzzParam{.nodes = 2, .rpn = 4, .hugepages = true, .seed = 3},
+        FuzzParam{.nodes = 2, .rpn = 2, .hugepages = true, .rndv_read = true,
+                  .seed = 4},
+        FuzzParam{.nodes = 1, .rpn = 4, .seed = 5},
+        FuzzParam{.nodes = 2, .rpn = 3, .hugepages = true, .seed = 6},
+        FuzzParam{.nodes = 2, .rpn = 1, .rndv_read = true, .seed = 7},
+        FuzzParam{.nodes = 3, .rpn = 2, .seed = 8},
+        FuzzParam{.nodes = 2, .rpn = 1, .seed = 13, .rdma_eager = true},
+        FuzzParam{.nodes = 2, .rpn = 2, .seed = 14, .rdma_eager = true},
+        FuzzParam{.nodes = 2, .rpn = 4, .hugepages = true, .seed = 15,
+                  .rdma_eager = true},
+        FuzzParam{.nodes = 3, .rpn = 2, .hugepages = true, .rndv_read = true,
+                  .seed = 16, .rdma_eager = true}),
     [](const auto& info) {
       const auto& p = info.param;
       return std::to_string(p.nodes) + "x" + std::to_string(p.rpn) +

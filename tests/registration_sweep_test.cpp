@@ -5,22 +5,32 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "ibp/hca/adapter.hpp"
 #include "ibp/platform/platform.hpp"
 
 namespace ibp::hca {
 namespace {
 
+// gtest names each case after a byte dump of this struct, so every byte
+// must be defined: padding would dump whatever the stack held. The gap
+// after `patched` is spelled out as a zeroed member.
 struct RegCase {
   std::uint64_t bytes;
   mem::PageKind kind;
   bool patched;  // ship native translations for hugepage mappings
+  std::uint8_t zero_tail[6] = {};
 };
+static_assert(std::has_unique_object_representations_v<RegCase>,
+              "RegCase must have no padding bytes");
 
 class RegSweep : public ::testing::TestWithParam<RegCase> {};
 
 TEST_P(RegSweep, CostDecomposesExactly) {
-  const auto [bytes, kind, patched] = GetParam();
+  const std::uint64_t bytes = GetParam().bytes;
+  const mem::PageKind kind = GetParam().kind;
+  const bool patched = GetParam().patched;
   const auto plat = platform::opteron_pcie_infinihost();
   mem::PhysicalMemory pm(512 * kMiB, 128, 3);
   mem::HugeTlbFs fs(&pm, 128, 0);

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <deque>
 #include <optional>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -113,6 +116,36 @@ TEST(Engine, RankErrorPropagates) {
     if (ctx.rank() == 1) throw SimError("rank 1 exploded");
   }),
                SimError);
+}
+
+TEST(Engine, AbortUnwindsEveryBlockedLaneOnce) {
+  // Rank 2 throws while every other rank is blocked for good. run() must
+  // rethrow rank 2's error (not a deadlock), and the guard on every
+  // rank's stack must be destroyed exactly once.
+  constexpr int kRanks = 4;
+  std::vector<int> destroyed(kRanks, 0);
+  struct Guard {
+    int* count;
+    ~Guard() { ++*count; }
+  };
+  Engine eng(kRanks);
+  std::string error;
+  try {
+    eng.run([&destroyed](Context& ctx) {
+      Guard guard{&destroyed[static_cast<std::size_t>(ctx.rank())]};
+      ctx.advance(ns(10));
+      if (ctx.rank() == 2) {
+        ctx.advance(ns(10));  // the others block first
+        throw SimError("rank 2 exploded");
+      }
+      ctx.wait_until([]() -> std::optional<TimePs> { return std::nullopt; });
+    });
+  } catch (const SimError& e) {
+    error = e.what();
+  }
+  EXPECT_EQ(error, "rank 2 exploded");
+  for (int r = 0; r < kRanks; ++r)
+    EXPECT_EQ(destroyed[static_cast<std::size_t>(r)], 1) << "rank " << r;
 }
 
 TEST(Engine, MessagePingPong) {
@@ -264,6 +297,69 @@ TEST(EngineTracks, FourTrackScheduleIsDeterministic) {
     return trace;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+TEST(EngineTracks, TrackErrorPropagates) {
+  Engine eng(2);
+  std::string error;
+  try {
+    eng.run([](Context& ctx) {
+      const TrackId t = ctx.spawn_track([](Context& c) {
+        c.advance(ns(5));
+        if (c.rank() == 1) throw SimError("track on rank 1 exploded");
+      });
+      ctx.join_track(t);
+    });
+  } catch (const SimError& e) {
+    error = e.what();
+  }
+  EXPECT_EQ(error, "track on rank 1 exploded");
+}
+
+TEST(Engine, ThousandsOfRanks) {
+  // Each rank advances, publishes its clock, then waits for its right
+  // neighbour's: every rank ends at max(own, neighbour's) publish time.
+  constexpr int kRanks = 4096;
+  std::vector<std::optional<TimePs>> published(kRanks);
+  Engine eng(kRanks);
+  eng.run([&published](Context& ctx) {
+    const auto me = static_cast<std::size_t>(ctx.rank());
+    ctx.advance(ns(me % 7 + 1));
+    published[me] = ctx.now();
+    const auto& right = published[(me + 1) % kRanks];
+    ctx.wait_until([&right] { return right; });
+  });
+  const auto publish_time = [](int r) {
+    return ns(static_cast<std::uint64_t>(r % 7 + 1));
+  };
+  for (int r = 0; r < kRanks; ++r)
+    EXPECT_EQ(eng.final_time(r),
+              std::max(publish_time(r), publish_time((r + 1) % kRanks)))
+        << "rank " << r;
+}
+
+// Recurses `depth` frames of about 1 KiB each; the volatile buffer keeps
+// every frame's stack use.
+std::uint64_t recurse(int depth) {
+  volatile std::uint8_t frame[1024];
+  frame[0] = static_cast<std::uint8_t>(depth);
+  frame[sizeof frame - 1] = frame[0];
+  if (depth == 0) return frame[0];
+  return recurse(depth - 1) + frame[sizeof frame - 1];
+}
+
+TEST(Engine, LaneRecursesThroughAMebibyteOfStack) {
+  constexpr int kDepth = 1024;
+  std::uint64_t sum = 0;
+  Engine eng(2);
+  eng.run([&sum](Context& ctx) {
+    ctx.advance(ns(1));
+    if (ctx.rank() == 1) sum = recurse(kDepth);
+    ctx.advance(ns(1));
+  });
+  std::uint64_t expect = 0;
+  for (int d = 0; d <= kDepth; ++d) expect += static_cast<std::uint8_t>(d);
+  EXPECT_EQ(sum, expect);
 }
 
 TEST(Engine, SleepUntil) {

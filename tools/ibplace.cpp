@@ -14,7 +14,8 @@
 //   --hugepages=0|1                   preload the hugepage library
 //   --lazy=0|1                        lazy deregistration (default 1)
 //   --patched=0|1                     driver hugepage passthrough (default 1)
-//   --rndv-read=0|1                   RDMA-read rendezvous (default 0)
+//   --rndv-read=0|1                   RDMA-read rendezvous (default 0;
+//                                     imb/rpc/fabric)
 //   --iters=N  --scale=N
 //   --placement=POLICY                placement policy (--list-policies)
 //   --placement-role=ROLE=POLICY      override the policy for one buffer
@@ -118,7 +119,8 @@ struct Options {
                "  ibplace --list-policies\n"
                "options: --platform=opteron|xeon|systemp --nodes=N --rpn=R\n"
                "         --hugepages=0|1 --lazy=0|1 --patched=0|1\n"
-               "         --rndv-read=0|1 --iters=N --scale=N\n"
+               "         --rndv-read=0|1 (imb/rpc/fabric)\n"
+               "         --iters=N --scale=N\n"
                "         --placement=POLICY (see --list-policies)\n"
                "         --placement-role=ROLE=POLICY (repeatable)\n"
                "         --fault=SPEC --fault-file=PATH\n"
@@ -343,6 +345,7 @@ int cmd_imb(const std::string& mode, const Options& o) {
   workloads::ImbConfig icfg;
   icfg.sizes = workloads::imb_default_sizes();
   icfg.iterations = opt.iters;
+  icfg.comm.rndv_read = opt.rndv_read;
   icfg.comm.recovery = opt.recovery == "repost"
                            ? mpi::CommConfig::Recovery::Repost
                            : mpi::CommConfig::Recovery::FailFast;
@@ -448,6 +451,7 @@ loadgen::GenResult run_rpc_once(const Options& o, bool open, bool batching,
   cluster.run([&](core::RankEnv& env) {
     mpi::CommConfig mc;
     mc.sge_gather = true;
+    mc.rndv_read = o.rndv_read;
     mc.rdma_eager = o.rdma_eager;
     mc.recovery = o.recovery == "repost" ? mpi::CommConfig::Recovery::Repost
                                          : mpi::CommConfig::Recovery::FailFast;
@@ -637,6 +641,7 @@ int cmd_fabric(const Options& o) {
   cluster.run([&](core::RankEnv& env) {
     mpi::CommConfig mc;
     mc.sge_gather = true;
+    mc.rndv_read = o.rndv_read;
     mc.rdma_eager = o.rdma_eager;
     mc.recovery = o.recovery == "repost" ? mpi::CommConfig::Recovery::Repost
                                          : mpi::CommConfig::Recovery::FailFast;
