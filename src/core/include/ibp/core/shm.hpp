@@ -2,7 +2,8 @@
 
 // Intra-node shared-memory transport (MVAPICH-style): ranks on the same
 // node exchange messages through a copy-in/copy-out channel instead of the
-// HCA. One ShmChannel carries one direction of one rank pair.
+// HCA. One ShmChannel carries one direction of one rank pair. The sender
+// pushes on its own lane, so push fires the receiving rank's waker.
 
 #include <cstdint>
 #include <deque>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "ibp/common/types.hpp"
+#include "ibp/common/waker.hpp"
 
 namespace ibp::core {
 
@@ -27,6 +29,9 @@ class ShmChannel {
  public:
   explicit ShmChannel(ShmConfig cfg) : cfg_(cfg) {}
 
+  /// Wake `w`'s rank on every push (the receiving rank).
+  void set_waker(Waker w) { waker_ = w; }
+
   /// Sender-side: enqueue `data` at time `now`; returns the sender's copy
   /// cost (copy-in to the shared segment).
   TimePs push(std::vector<std::uint8_t> data, TimePs now) {
@@ -35,6 +40,7 @@ class ShmChannel {
     msg.avail = now + copy + cfg_.latency;
     msg.data = std::move(data);
     q_.push_back(std::move(msg));
+    waker_.wake();
     return copy;
   }
 
@@ -63,6 +69,7 @@ class ShmChannel {
  private:
   ShmConfig cfg_;
   std::deque<ShmMsg> q_;
+  Waker waker_;
 };
 
 }  // namespace ibp::core

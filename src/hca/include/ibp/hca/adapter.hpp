@@ -24,6 +24,7 @@
 #include "ibp/common/check.hpp"
 #include "ibp/common/lru.hpp"
 #include "ibp/common/types.hpp"
+#include "ibp/common/waker.hpp"
 #include "ibp/fault/fault.hpp"
 #include "ibp/hca/completion_queue.hpp"
 #include "ibp/hca/config.hpp"
@@ -50,6 +51,9 @@ class Adapter;
 /// A write that dies fatally in the fault injector (retry budget
 /// exhausted) copies nothing and records nothing, so replaying the same
 /// record at the same ring offset is idempotent.
+///
+/// Events are pushed by the *writing* rank's lane, so push fires the
+/// waker of the rank that polls this monitor.
 class WriteMonitor {
  public:
   struct Event {
@@ -60,12 +64,16 @@ class WriteMonitor {
     TimePs visible_at = 0;  // transfer's virtual arrival at this adapter
   };
 
+  /// Wake `w`'s rank on every push (the rank polling this monitor).
+  void set_waker(Waker w) { waker_ = w; }
+
   /// Record one completed inbound write (insertion keeps visibility
   /// order; a single writer produces monotone arrivals already).
   void push(const Event& e) {
     auto it = events_.end();
     while (it != events_.begin() && (it - 1)->visible_at > e.visible_at) --it;
     events_.insert(it, e);
+    waker_.wake();
   }
 
   /// Earliest pending visibility time, if any — feeds the owner's
@@ -89,6 +97,7 @@ class WriteMonitor {
 
  private:
   std::deque<Event> events_;
+  Waker waker_;
 };
 
 /// A registered memory region. lkey doubles as rkey.

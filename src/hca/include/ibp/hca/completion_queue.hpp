@@ -5,12 +5,18 @@
 // CQEs are kept ordered by ready time (ties broken by insertion order) so
 // that polling at virtual time `now` returns completions in the order the
 // hardware would have made them visible.
+//
+// Another rank's lane pushes into this queue (a peer's send lands in this
+// rank's receive CQ) and cancels from it (an RNR rescue withdraws a
+// sender's provisional error CQE), so both fire the owning rank's waker:
+// the engine then re-runs that rank's blocked poll predicates.
 
 #include <cstdint>
 #include <deque>
 #include <optional>
 
 #include "ibp/common/check.hpp"
+#include "ibp/common/waker.hpp"
 #include "ibp/hca/config.hpp"
 #include "ibp/hca/types.hpp"
 
@@ -18,6 +24,9 @@ namespace ibp::hca {
 
 class CompletionQueue {
  public:
+  /// Wake `w`'s rank on every push and cancel (the rank polling this CQ).
+  void set_waker(Waker w) { waker_ = w; }
+
   /// Insert keeping ready_time order (stable for equal times).
   void push(Cqe cqe) {
     auto it = entries_.end();
@@ -28,6 +37,7 @@ class CompletionQueue {
       it = prev;
     }
     entries_.insert(it, cqe);
+    waker_.wake();
   }
 
   /// Pop the first CQE visible at `now`, if any.
@@ -47,6 +57,7 @@ class CompletionQueue {
     for (auto it = entries_.begin(); it != entries_.end(); ++it) {
       if (it->wr_id == wr_id && it->status == status) {
         entries_.erase(it);
+        waker_.wake();
         return true;
       }
     }
@@ -68,6 +79,7 @@ class CompletionQueue {
  private:
   std::deque<Cqe> entries_;
   ArbState arb_;
+  Waker waker_;
 };
 
 }  // namespace ibp::hca

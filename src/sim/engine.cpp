@@ -8,7 +8,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
+#include <sstream>
 #include <utility>
 
 #ifdef __SANITIZE_ADDRESS__
@@ -226,86 +226,117 @@ void Engine::join_track(RankId r, TrackId t) {
   });
 }
 
+Engine::Candidate Engine::scan(const RankState& rk) {
+  // Candidate = every runnable lane at its clock, plus every blocked lane
+  // whose predicate is ready, at max(clock, ready time). The track-minor
+  // scan with a strictly-less compare keeps the lowest track on a tie.
+  Candidate c;
+  for (TrackId k = 0; k < static_cast<TrackId>(rk.tracks.size()); ++k) {
+    const TrackState& ts = *rk.tracks[static_cast<std::size_t>(k)];
+    if (ts.state == State::Finished) continue;
+    c.unfinished = true;
+    std::optional<TimePs> t;
+    if (ts.state == State::Runnable) {
+      t = ts.time;
+    } else if (ts.state == State::Blocked) {
+      if (const auto ready = (*ts.pred)()) t = std::max(ts.time, *ready);
+    }
+    if (t && *t < c.time) {
+      c.time = *t;
+      c.track = k;
+      c.blocked = ts.state == State::Blocked;
+    }
+  }
+  return c;
+}
+
 // A predicate or the sampler that throws ends the run with its error, as
 // a throwing lane does.
 Engine::TrackState* Engine::schedule_next() noexcept try {
   if (aborted_) return nullptr;
 
-  // Candidate = every runnable lane at its clock, plus every blocked lane
-  // whose predicate is ready, at max(clock, ready time). Choosing the
-  // global minimum (time, rank, track) keeps execution in virtual-time
-  // order, so no lane can later be affected by an event earlier than its
-  // clock. The rank-major, track-minor scan with a strictly-less compare
-  // realizes the (time, rank, track) tie-break.
-  constexpr TimePs kInf = std::numeric_limits<TimePs>::max();
-  TimePs best_time = kInf;
-  int best_rank = -1;
-  TrackId best_track = 0;
-  bool best_blocked = false;
-  TimePs best_ready = 0;
-  bool any_unfinished = false;
+  // The lane handing over the turn may have changed anything its rank's
+  // predicates read: tracks share all of the rank's state.
+  if (running_ != host_)
+    ranks_[static_cast<std::size_t>(running_->rank)].dirty = true;
 
-  for (int r = 0; r < nranks(); ++r) {
-    auto& rk = ranks_[static_cast<std::size_t>(r)];
-    for (TrackId k = 0; k < static_cast<TrackId>(rk.tracks.size()); ++k) {
-      auto& ts = *rk.tracks[static_cast<std::size_t>(k)];
-      if (ts.state == State::Finished) continue;
-      any_unfinished = true;
-      if (ts.state == State::Runnable) {
-        if (ts.time < best_time) {
-          best_time = ts.time;
-          best_rank = r;
-          best_track = k;
-          best_blocked = false;
-        }
-      } else if (ts.state == State::Blocked) {
-        const auto ready = (*ts.pred)();
-        if (ready) {
-          const TimePs t = std::max(ts.time, *ready);
-          if (t < best_time) {
-            best_time = t;
-            best_rank = r;
-            best_track = k;
-            best_blocked = true;
-            best_ready = t;
-          }
-        }
-      }
+  // Rescan only dirty ranks; by the wake contract nothing a clean rank's
+  // predicates read has changed since its last scan. Choosing the global
+  // minimum (time, rank, track) keeps execution in virtual-time order, so
+  // no lane can later be affected by an event earlier than its clock. The
+  // rank-major pass over per-rank candidates with a strictly-less compare
+  // realizes the (time, rank, track) tie-break.
+  RankState* best = nullptr;
+  bool any_unfinished = false;
+  for (std::size_t r = 0; r < ranks_.size(); ++r) {
+    RankState& rk = ranks_[r];
+#ifndef NDEBUG
+    // Audit the wake contract: rescanning a clean rank changes nothing.
+    if (!rk.dirty)
+      IBP_CHECK(scan(rk) == rk.cand,
+                "rank " << r << " has a stale scheduling candidate: state "
+                "its blocked predicates read changed without a wake");
+#endif
+    if (rk.dirty) {
+      rk.cand = scan(rk);
+      rk.dirty = false;
     }
+    any_unfinished = any_unfinished || rk.cand.unfinished;
+    if (rk.cand.track >= 0 &&
+        (best == nullptr || rk.cand.time < best->cand.time))
+      best = &rk;
   }
 
   if (!any_unfinished) {
     // Run complete; the last lane returns to Engine::run.
     return nullptr;
   }
-  if (best_rank < 0) {
-    abort_all(std::make_exception_ptr(SimError(
-        "virtual-time deadlock: every unfinished rank is "
-        "blocked with no ready predicate")));
+  if (best == nullptr) {
+    abort_all(std::make_exception_ptr(deadlock_error()));
     return nullptr;
   }
 
   // The chosen (time, rank, track) key is the global frontier: no
   // unfinished lane can act earlier. Fire the sampler for every period
   // boundary the frontier just crossed while no lane is active.
+  const Candidate& c = best->cand;
   if (sampler_ && sample_period_ != 0) {
-    while (next_sample_ <= best_time) {
+    while (next_sample_ <= c.time) {
       sampler_(next_sample_);
       next_sample_ += sample_period_;
     }
   }
 
-  auto& rk = ranks_[static_cast<std::size_t>(best_rank)];
-  auto& next = *rk.tracks[static_cast<std::size_t>(best_track)];
-  if (best_blocked) {
+  auto& next = *best->tracks[static_cast<std::size_t>(c.track)];
+  if (c.blocked) {
     next.state = State::Runnable;
-    next.time = best_ready;
+    next.time = c.time;
   }
-  rk.cur = best_track;
+  best->cur = c.track;
   return &next;
 } catch (...) {
   abort_all(std::current_exception());
   return nullptr;
+}
+
+SimError Engine::deadlock_error() const {
+  constexpr int kListed = 16;
+  std::ostringstream os;
+  os << "virtual-time deadlock: every unfinished rank is blocked with no "
+        "ready predicate; unfinished lanes (rank.track@clock in ps):";
+  int lanes = 0;
+  for (std::size_t r = 0; r < ranks_.size(); ++r) {
+    const auto& tracks = ranks_[r].tracks;
+    for (std::size_t k = 0; k < tracks.size(); ++k) {
+      if (tracks[k]->state == State::Finished) continue;
+      if (lanes < kListed)
+        os << (lanes == 0 ? " " : ", ") << 'r' << r << ".t" << k << '@'
+           << tracks[k]->time;
+      ++lanes;
+    }
+  }
+  if (lanes > kListed) os << " and " << lanes - kListed << " more";
+  return SimError(os.str());
 }
 
 void Engine::yield_turn(TrackState& self) {

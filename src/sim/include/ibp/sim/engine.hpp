@@ -23,19 +23,35 @@
 // Because execution is serialized in global virtual-time order, shared
 // simulation state (queues, adapters, memory) needs no locking and every
 // run is bit-reproducible. If every unfinished lane is blocked with no
-// predicate ready, the engine raises a deadlock error. The first error
-// aborts the run: every suspended lane is resumed into an unwind, so the
-// destructors on its stack run, and run() rethrows the error.
+// predicate ready, the engine raises a deadlock error naming the
+// unfinished lanes. The first error aborts the run: every suspended lane
+// is resumed into an unwind, so the destructors on its stack run, and
+// run() rethrows the error.
+//
+// Wake contract. Each rank caches its scheduling candidate (its earliest
+// runnable or ready lane) and the scheduler re-runs a blocked lane's
+// predicate only when the lane's rank is dirty. A rank turns dirty when
+// one of its own lanes runs, so a predicate may read its own rank's state
+// freely. State that *another* rank writes must wake the watching rank:
+// its owner holds a Waker (Engine::waker, Context::waker) and fires it on
+// every such write; hand-written cross-rank state calls Context::wake.
+// In the simulator's stack the three such owners are hca::CompletionQueue,
+// hca::WriteMonitor and core::ShmChannel. Debug builds (no NDEBUG) rescan
+// every clean rank on each decision and fail the run, naming the rank,
+// when a cached candidate went stale; a missing wake in a release build
+// surfaces as a deadlock error or a changed schedule.
 
 #include <algorithm>
 #include <exception>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <vector>
 
 #include "ibp/common/check.hpp"
 #include "ibp/common/types.hpp"
+#include "ibp/common/waker.hpp"
 
 namespace ibp::sim {
 
@@ -76,10 +92,12 @@ class Context {
   /// Block until `pred` reports a ready time. The predicate returns
   /// std::nullopt while the condition is unsatisfied and the earliest
   /// virtual time at which it is satisfied once it is. On resumption this
-  /// track's clock is max(current, ready time). Predicates are re-evaluated
-  /// by the scheduler whenever any lane yields, so they must be cheap,
-  /// side-effect free, and monotone (once ready, stay ready with a
-  /// non-increasing ready time).
+  /// track's clock is max(current, ready time). The scheduler re-evaluates
+  /// the predicate after any lane of this rank ran and after another rank
+  /// woke this one, so it must be cheap, side-effect free, and monotone
+  /// (once ready, stay ready with a non-increasing ready time). It may
+  /// read this rank's state freely; state another rank writes must wake
+  /// this rank (see the wake contract above), or the change goes unseen.
   void wait_until(const std::function<std::optional<TimePs>()>& pred);
 
   /// Sleep until absolute virtual time `t` (no-op if already past it).
@@ -98,6 +116,13 @@ class Context {
   /// Block until track `t` of this rank finishes; on resumption the
   /// caller's clock is max(its own clock, the track's final time).
   void join_track(TrackId t);
+
+  /// Waker for this rank: hand it to state owners that other ranks write.
+  Waker waker() const;
+
+  /// Mark rank `r`'s blocked predicates for re-evaluation after writing
+  /// state they read. Throws SimError for a rank outside the engine.
+  void wake(RankId r);
 
  private:
   friend class Engine;
@@ -136,13 +161,22 @@ class Engine {
     return m;
   }
 
+  /// Waker that marks rank `r` dirty (see the wake contract above).
+  /// Throws SimError for a rank outside the engine.
+  Waker waker(RankId r) {
+    IBP_CHECK(r >= 0 && r < nranks(),
+              "no rank " << r << " to wake in an engine of " << nranks());
+    return Waker(&ranks_[static_cast<std::size_t>(r)].dirty);
+  }
+
   /// Install a virtual-time sampler: `fn(t)` fires whenever the global
   /// time frontier (the smallest virtual time any unfinished lane can
   /// still act at) crosses a multiple of `period`. The callback runs in
   /// the scheduling gap — no lane is active — so it may safely read any
-  /// shared simulation state. Deterministic: the frontier sequence is a
-  /// pure function of the rank programs. Call before run(); a period of
-  /// 0 (or a null fn) disables sampling.
+  /// shared simulation state; it must not write state a predicate reads.
+  /// Deterministic: the frontier sequence is a pure function of the rank
+  /// programs. Call before run(); a period of 0 (or a null fn) disables
+  /// sampling.
   void set_sampler(TimePs period, std::function<void(TimePs)> fn) {
     sample_period_ = period;
     sampler_ = std::move(fn);
@@ -157,11 +191,27 @@ class Engine {
   /// One lane: its clock, scheduling state and fiber (engine.cpp).
   struct TrackState;
 
+  /// A rank's best lane as of its last scan: the minimum (time, track)
+  /// over its runnable lanes and its blocked lanes whose predicate is
+  /// ready.
+  struct Candidate {
+    TimePs time = std::numeric_limits<TimePs>::max();
+    TrackId track = -1;       // -1: no lane can run
+    bool blocked = false;     // the lane waits; picking it wakes it at time
+    bool unfinished = false;  // some lane of the rank has not finished
+    bool operator==(const Candidate&) const = default;
+  };
+
   struct RankState {
     // tracks[0] is the rank program; spawned tracks append. Entries are
     // never erased, so TrackIds stay valid for the whole run.
     std::vector<std::unique_ptr<TrackState>> tracks;
     TrackId cur = 0;  // track currently (or last) holding the rank's turn
+    // Set when the rank's state may have changed since `cand` was taken:
+    // one of its lanes ran, or another rank woke it. ranks_ never
+    // resizes, so Wakers may point at this flag for the engine's life.
+    bool dirty = true;
+    Candidate cand;
   };
 
   TimePs now_of(RankId r) const;
@@ -177,9 +227,15 @@ class Engine {
   /// executing (`what` names the call for the error).
   TrackState& running_lane(RankId r, const char* what);
 
+  /// Evaluate rank `rk`'s lanes (running its blocked predicates).
+  static Candidate scan(const RankState& rk);
+
   /// Pick the next lane and commit the choice; null when the run is over
   /// (every lane finished, or aborted).
   TrackState* schedule_next() noexcept;
+
+  /// The deadlock error: names up to 16 unfinished lanes at their clocks.
+  SimError deadlock_error() const;
 
   /// Hand the turn to schedule_next()'s choice; returns once `self` is
   /// picked again. Throws AbortSignal if the run aborted meanwhile.
@@ -228,5 +284,7 @@ inline TrackId Context::spawn_track(std::function<void(Context&)> fn) {
   return eng_->spawn_track(rank_, std::move(fn));
 }
 inline void Context::join_track(TrackId t) { eng_->join_track(rank_, t); }
+inline Waker Context::waker() const { return eng_->waker(rank_); }
+inline void Context::wake(RankId r) { eng_->waker(r).wake(); }
 
 }  // namespace ibp::sim

@@ -79,6 +79,9 @@ class Context {
   Context(sim::Context& sc, mem::AddressSpace& space, hca::Adapter& hca,
           DriverConfig drv = {})
       : sc_(&sc), space_(&space), hca_(&hca), drv_(drv) {
+    // Peers' QPs push into these CQs on their own lanes.
+    own_send_cq_.set_waker(sc.waker());
+    own_recv_cq_.set_waker(sc.waker());
     send_cq_p_ = &own_send_cq_;
     recv_cq_p_ = &own_recv_cq_;
   }

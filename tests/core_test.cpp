@@ -31,6 +31,17 @@ TEST(ShmChannel, FifoOrder) {
   }
 }
 
+TEST(ShmChannel, PushFiresTheWaker) {
+  bool dirty = false;
+  ShmChannel ch(ShmConfig{2.0, ns(10)});
+  ch.set_waker(Waker(&dirty));
+  ch.push({1, 2}, 0);
+  EXPECT_TRUE(dirty);
+  dirty = false;
+  EXPECT_TRUE(ch.pop(ms(1)).has_value());
+  EXPECT_FALSE(dirty) << "the receiver's own pop needs no wake";
+}
+
 TEST(Cluster, WiringMatchesTopology) {
   ClusterConfig cfg;
   cfg.nodes = 2;

@@ -46,6 +46,7 @@ TEST(EngineStress, RandomTrafficIsDeterministicAndCausal) {
           ctx.advance(ns(rng.next_in(50, 500)));
           const int dst = (ctx.rank() + 1) % kRanks;
           mail.q[dst].push_back({ctx.now() + kLatency, sent});
+          ctx.wake(dst);
           ++sent;
         }
         if (got < kMsgsPerRank) {
@@ -90,6 +91,7 @@ TEST(EngineStress, ManyRanksBarrierChain) {
         const int dst = (ctx.rank() + k) % kRanks;
         const int key = round * 100 + k;
         flags[dst][key] = ctx.now() + ns(300);
+        ctx.wake(dst);
         auto& mine = flags[ctx.rank()];
         ctx.wait_until([&mine, key]() -> std::optional<TimePs> {
           auto it = mine.find(key);
@@ -111,7 +113,10 @@ TEST(EngineStress, FinishedRanksDoNotBlockOthers) {
   eng.run([&](Context& ctx) {
     if (ctx.rank() < 3) {
       ctx.advance(ns(10 * static_cast<std::uint64_t>(ctx.rank() + 1)));
-      if (ctx.rank() == 2) shared.flag = true;
+      if (ctx.rank() == 2) {
+        shared.flag = true;
+        ctx.wake(3);
+      }
       return;  // finish early
     }
     ctx.wait_until([&]() -> std::optional<TimePs> {

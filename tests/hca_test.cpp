@@ -61,6 +61,41 @@ TEST(CompletionQueue, StableForEqualTimes) {
     EXPECT_EQ(cq.poll(ns(100))->wr_id, static_cast<std::uint64_t>(i));
 }
 
+TEST(CompletionQueue, PushAndCancelFireTheWaker) {
+  bool dirty = false;
+  CompletionQueue cq;
+  cq.set_waker(Waker(&dirty));
+  Cqe c;
+  c.wr_id = 7;
+  c.status = WcStatus::RnrRetryExceeded;
+  cq.push(c);
+  EXPECT_TRUE(dirty);
+  dirty = false;
+  EXPECT_TRUE(cq.cancel(7, WcStatus::RnrRetryExceeded));
+  EXPECT_TRUE(dirty);
+}
+
+TEST(WriteMonitor, PushFiresTheWaker) {
+  bool dirty = false;
+  WriteMonitor mon;
+  mon.set_waker(Waker(&dirty));
+  mon.push({.addr = 64, .len = 8, .visible_at = ns(100)});
+  EXPECT_TRUE(dirty);
+}
+
+TEST(Waker, UnwiredOwnersDoNothingOnWake) {
+  Waker().wake();
+  CompletionQueue cq;
+  Cqe c;
+  c.wr_id = 3;
+  cq.push(c);
+  EXPECT_TRUE(cq.cancel(3, WcStatus::Success));
+  WriteMonitor mon;
+  mon.push({.addr = 64, .len = 8, .visible_at = ns(100)});
+  EXPECT_EQ(cq.depth(), 0u);
+  EXPECT_EQ(mon.pending(), 1u);
+}
+
 TEST(Registration, CostScalesWithPageCount) {
   TwoNodes t;
   auto& m4k = t.as_a.map(1 * kMiB, mem::PageKind::Small);

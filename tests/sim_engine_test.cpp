@@ -70,6 +70,7 @@ TEST(Engine, WaitUntilDeliversAtReadyTime) {
       ctx.advance(ns(500));
       box.full = true;
       box.at = ctx.now() + ns(100);  // "arrives" 100ns later
+      ctx.wake(1);
     } else {
       ctx.wait_until([&box]() -> std::optional<TimePs> {
         if (!box.full) return std::nullopt;
@@ -102,11 +103,101 @@ TEST(Engine, BlockedRankResumesNoEarlierThanItsOwnClock) {
 
 TEST(Engine, DeadlockIsDetected) {
   Engine eng(2);
-  EXPECT_THROW(
-      eng.run([](Context& ctx) {
-        ctx.wait_until([]() -> std::optional<TimePs> { return std::nullopt; });
-      }),
-      SimError);
+  std::string error;
+  try {
+    eng.run([](Context& ctx) {
+      ctx.wait_until([]() -> std::optional<TimePs> { return std::nullopt; });
+    });
+  } catch (const SimError& e) {
+    error = e.what();
+  }
+  EXPECT_NE(error.find("virtual-time deadlock"), std::string::npos) << error;
+  // Both blocked lanes are named with their clocks.
+  EXPECT_NE(error.find("r0.t0@0"), std::string::npos) << error;
+  EXPECT_NE(error.find("r1.t0@0"), std::string::npos) << error;
+}
+
+TEST(Engine, DeadlockErrorListsAtMostSixteenLanes) {
+  constexpr int kRanks = 20;
+  Engine eng(kRanks);
+  std::string error;
+  try {
+    eng.run([](Context& ctx) {
+      ctx.advance(ns(static_cast<std::uint64_t>(ctx.rank())));
+      ctx.wait_until([]() -> std::optional<TimePs> { return std::nullopt; });
+    });
+  } catch (const SimError& e) {
+    error = e.what();
+  }
+  EXPECT_NE(error.find("r15.t0@15000"), std::string::npos) << error;
+  EXPECT_EQ(error.find("r16.t0"), std::string::npos) << error;
+  EXPECT_NE(error.find(" and 4 more"), std::string::npos) << error;
+}
+
+TEST(Engine, MissingWakeFailsTheRun) {
+  // Rank 0 fills rank 1's mailbox without waking rank 1, then finishes.
+  // Rank 1's cached candidate (blocked, nothing ready) is now stale:
+  // Debug builds catch it in the scheduler's audit; release builds never
+  // re-run the predicate and end in a deadlock naming rank 1's lane.
+  Engine eng(2);
+  bool full = false;
+  std::string error;
+  try {
+    eng.run([&full](Context& ctx) {
+      if (ctx.rank() == 0) {
+        ctx.advance(ns(10));  // rank 1 blocks first
+        full = true;
+      } else {
+        ctx.wait_until([&full]() -> std::optional<TimePs> {
+          if (!full) return std::nullopt;
+          return ns(10);
+        });
+      }
+    });
+  } catch (const SimError& e) {
+    error = e.what();
+  }
+#ifdef NDEBUG
+  EXPECT_NE(error.find("virtual-time deadlock"), std::string::npos) << error;
+  EXPECT_NE(error.find("r1.t0@0"), std::string::npos) << error;
+#else
+  EXPECT_NE(error.find("rank 1 has a stale scheduling candidate"),
+            std::string::npos)
+      << error;
+#endif
+}
+
+TEST(Engine, ContextWakerWakesItsRank) {
+  // Rank 1 hands its waker to the mailbox it watches; rank 0 fires it.
+  Engine eng(2);
+  struct {
+    bool full = false;
+    Waker waker;
+  } box;
+  eng.run([&box](Context& ctx) {
+    if (ctx.rank() == 0) {
+      ctx.advance(ns(10));
+      box.full = true;
+      box.waker.wake();
+    } else {
+      box.waker = ctx.waker();
+      ctx.wait_until([&box]() -> std::optional<TimePs> {
+        if (!box.full) return std::nullopt;
+        return ns(10);
+      });
+      EXPECT_EQ(ctx.now(), ns(10));
+    }
+  });
+}
+
+TEST(Engine, WakeRejectsRanksOutsideTheEngine) {
+  Engine eng(2);
+  EXPECT_THROW(eng.waker(2), SimError);
+  eng.run([](Context& ctx) {
+    EXPECT_THROW(ctx.wake(-1), SimError);
+    EXPECT_THROW(ctx.wake(ctx.nranks()), SimError);
+    ctx.wake(1 - ctx.rank());
+  });
 }
 
 TEST(Engine, RankErrorPropagates) {
@@ -163,7 +254,10 @@ TEST(Engine, MessagePingPong) {
   eng.run([&](Context& ctx) {
     auto& inbox = ctx.rank() == 0 ? to0 : to1;
     auto& outbox = ctx.rank() == 0 ? to1 : to0;
-    if (ctx.rank() == 0) outbox.push_back({ctx.now() + kLatency, 1});
+    if (ctx.rank() == 0) {
+      outbox.push_back({ctx.now() + kLatency, 1});
+      ctx.wake(1);
+    }
     for (;;) {
       ctx.wait_until([&inbox]() -> std::optional<TimePs> {
         if (inbox.empty()) return std::nullopt;
@@ -174,6 +268,7 @@ TEST(Engine, MessagePingPong) {
       EXPECT_GE(ctx.now(), m.deliver);
       if (m.hop >= kHops) break;
       outbox.push_back({ctx.now() + kLatency, m.hop + 1});
+      ctx.wake(1 - ctx.rank());
       if (m.hop == kHops - 1) break;  // our last message is in flight
     }
   });
@@ -326,6 +421,7 @@ TEST(Engine, ThousandsOfRanks) {
     const auto me = static_cast<std::size_t>(ctx.rank());
     ctx.advance(ns(me % 7 + 1));
     published[me] = ctx.now();
+    ctx.wake(static_cast<RankId>((me + kRanks - 1) % kRanks));
     const auto& right = published[(me + 1) % kRanks];
     ctx.wait_until([&right] { return right; });
   });

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <optional>
+
 #include "ibp/core/cluster.hpp"
 
 namespace ibp::verbs {
@@ -105,6 +108,41 @@ TEST(Verbs, RegUnmappedRangeThrows) {
     env.verbs().reg_mr(0x123456, 4096);
   }),
                SimError);
+}
+
+TEST(Verbs, PrivateCqsWakeTheirRank) {
+  // Each rank opens a verbs::Context with its own CQs. Rank 1 blocks on
+  // its receive CQ before rank 0's send fills it, so the run finishes
+  // only if that push wakes rank 1.
+  core::Cluster cluster(two_singles(true));
+  std::array<std::optional<Qp>, 2> qps;
+  cluster.run([&qps](core::RankEnv& env) {
+    const auto me = static_cast<std::size_t>(env.rank());
+    Context ctx(env.sim(), env.space(), env.state().node->adapter);
+    auto& m = env.space().map(64 * kKiB, mem::PageKind::Small);
+    const Mr mr = ctx.reg_mr(m.va_base, 64 * kKiB);
+    qps[me] = ctx.create_qp();
+    env.sim().wake(1 - env.rank());
+    env.sim().wait_until([&qps, &env]() -> std::optional<TimePs> {
+      if (!qps[0] || !qps[1]) return std::nullopt;
+      return env.now();
+    });
+    if (me == 0) {
+      Qp::connect(*qps[0], *qps[1]);
+      env.sim().advance(us(5));  // rank 1 is blocked by now
+      hca::SendWr wr;
+      wr.sges = {{m.va_base, 4 * kKiB, mr.lkey}};
+      ctx.post_send(*qps[0], wr);
+      ctx.wait_send();
+    } else {
+      hca::RecvWr wr;
+      wr.sges = {{m.va_base, static_cast<std::uint32_t>(64 * kKiB),
+                  mr.lkey}};
+      ctx.post_recv(*qps[1], wr);
+      EXPECT_EQ(ctx.wait_recv().byte_len, 4 * kKiB);
+      EXPECT_GT(env.now(), us(5));
+    }
+  });
 }
 
 }  // namespace
