@@ -6,10 +6,7 @@
 // churn makes the latter coalesce and re-split continuously — and every
 // mmap-threshold allocation pays syscall + page-fault costs.
 //
-// Measured two ways: real host time of the allocator data structures
-// (google-benchmark) and the simulator's virtual-time cost model.
-
-#include <benchmark/benchmark.h>
+// Measured in the simulator's virtual-time cost model.
 
 #include <cstdio>
 #include <vector>
@@ -49,40 +46,9 @@ hugepage::LibraryConfig lib_config(bool enabled) {
   return cfg;
 }
 
-void BM_HugepageLibrary(benchmark::State& state) {
-  const auto ops = workloads::make_abinit_trace();
-  std::vector<VirtAddr> slots(workloads::trace_slot_count());
-  for (auto _ : state) {
-    state.PauseTiming();
-    World w;
-    hugepage::Library lib(w.space, w.fs, lib_config(true));
-    state.ResumeTiming();
-    replay(lib, ops, slots, nullptr);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(ops.size()));
-}
-BENCHMARK(BM_HugepageLibrary);
-
-void BM_LibcStyleBaseline(benchmark::State& state) {
-  const auto ops = workloads::make_abinit_trace();
-  std::vector<VirtAddr> slots(workloads::trace_slot_count());
-  for (auto _ : state) {
-    state.PauseTiming();
-    World w;
-    hugepage::Library lib(w.space, w.fs, lib_config(false));
-    state.ResumeTiming();
-    replay(lib, ops, slots, nullptr);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(ops.size()));
-}
-BENCHMARK(BM_LibcStyleBaseline);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  // Virtual-time comparison (the simulator's allocator cost model).
+int main() {
   const auto ops = workloads::make_abinit_trace();
   std::printf("TAB-ALLOC: Abinit-like trace, %zu allocator operations\n\n",
               ops.size());
@@ -114,11 +80,5 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(huge_steps),
               static_cast<unsigned long long>(libc_steps),
               static_cast<unsigned long long>(libc_coalesces));
-
-  // Host-side data-structure throughput (real time). This excludes the
-  // simulated OS costs (page faults, mmap syscalls) that dominate the
-  // virtual-time gap above; it characterizes the management layers only.
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -19,7 +19,7 @@ using TimePs = std::uint64_t;
 using VirtAddr = std::uint64_t;
 
 /// A simulated physical address (used by the DMA/translation model only;
-/// real data lives in host backing memory owned by mem::PhysicalMemory).
+/// real data lives in host backing memory owned by each mem::Mapping).
 using PhysAddr = std::uint64_t;
 
 /// Rank index inside a simulation (0-based, dense).

@@ -29,7 +29,9 @@ Mapping& AddressSpace::map(std::uint64_t length, PageKind kind) {
   m->length = rounded;
   m->kind = kind;
   m->pins.assign(npages, 0);
-  m->backing.assign(rounded, 0);
+  m->backing.reset(static_cast<std::uint8_t*>(std::calloc(rounded, 1)));
+  IBP_CHECK(m->backing != nullptr,
+            "no host memory to back a " << rounded << "-byte mapping");
 
   if (kind == PageKind::Small) {
     m->va_base = next_small_;
@@ -121,7 +123,7 @@ std::span<std::uint8_t> AddressSpace::host_span(VirtAddr va,
   Mapping* m = find(va, len);
   IBP_CHECK(m != nullptr, "host_span of unmapped range va=" << std::hex << va
                                                             << " len=" << std::dec << len);
-  return {m->backing.data() + (va - m->va_base), len};
+  return {m->backing.get() + (va - m->va_base), len};
 }
 
 std::span<const std::uint8_t> AddressSpace::host_span(

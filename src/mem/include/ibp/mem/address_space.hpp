@@ -6,10 +6,13 @@
 // size. Host backing for each mapping is a single contiguous allocation so
 // workloads get real pointers for computation, while the translation model
 // (page tables, pinning, NIC translations) operates on the simulated
-// frames. Small and huge mappings live in disjoint virtual regions so a
-// bare virtual address identifies its page size.
+// frames. The backing is zeroed on demand (calloc), so host pages a run
+// never touches cost no host memory. Small and huge mappings live in
+// disjoint virtual regions so a bare virtual address identifies its page
+// size.
 
 #include <cstdint>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <span>
@@ -32,13 +35,18 @@ constexpr std::uint64_t page_size_of(PageKind k) {
 inline constexpr VirtAddr kSmallRegionBase = 0x0000'1000'0000'0000ull;
 inline constexpr VirtAddr kHugeRegionBase = 0x0000'2000'0000'0000ull;
 
+struct FreeDeleter {
+  void operator()(void* p) const { std::free(p); }
+};
+
 struct Mapping {
   VirtAddr va_base = 0;
   std::uint64_t length = 0;  // bytes, multiple of page size
   PageKind kind = PageKind::Small;
   std::vector<PhysAddr> frames;      // one per page
   std::vector<std::uint32_t> pins;   // pin count per page
-  std::vector<std::uint8_t> backing; // host data, contiguous
+  // Host data, contiguous, `length` bytes; calloc'd, so zeroed on demand.
+  std::unique_ptr<std::uint8_t[], FreeDeleter> backing;
 
   std::uint64_t page_size() const { return page_size_of(kind); }
   std::uint64_t npages() const { return frames.size(); }

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "ibp/mem/physical.hpp"
 
@@ -56,6 +58,50 @@ TEST(PhysicalMemory, FreeReturnsFrames) {
   const PhysAddr h = pm.alloc_huge_frame();
   pm.free_huge_frame(h);
   EXPECT_EQ(pm.huge_frames_free(), 2u);
+}
+
+// The eager free list the lazy shuffle must reproduce: every frame in
+// order, Fisher–Yates shuffled up front, popped from the back.
+std::vector<PhysAddr> eager_free_list(std::uint64_t frames,
+                                      std::uint64_t seed) {
+  std::vector<PhysAddr> free_list;
+  for (std::uint64_t i = 0; i < frames; ++i)
+    free_list.push_back(i * kSmallPageSize);
+  Rng rng(seed ^ 0x5eedf00dull);
+  for (std::uint64_t i = frames; i > 1; --i)
+    std::swap(free_list[i - 1], free_list[rng.next_below(i)]);
+  return free_list;
+}
+
+TEST(PhysicalMemory, LazyShuffleMatchesEagerOracle) {
+  for (std::uint64_t frames : {1, 2, 3, 7, 64, 1000, 4096}) {
+    for (std::uint64_t seed : {1, 2, 42, 0x5eedf00d, 1234567}) {
+      SCOPED_TRACE(testing::Message() << frames << " frames, seed " << seed);
+      PhysicalMemory pm(frames * kSmallPageSize, 2, seed);
+      std::vector<PhysAddr> oracle = eager_free_list(frames, seed);
+      std::vector<PhysAddr> held;
+      Rng ops(seed + frames);
+      // Allocate until exhausted, freeing a random held frame about one
+      // step in three; a freed frame goes back on top of the free list.
+      while (!oracle.empty()) {
+        if (!held.empty() && ops.next_below(3) == 0) {
+          const auto it =
+              held.begin() + static_cast<std::ptrdiff_t>(
+                                 ops.next_below(held.size()));
+          pm.free_small_frame(*it);
+          oracle.push_back(*it);
+          held.erase(it);
+        } else {
+          ASSERT_EQ(pm.alloc_small_frame(), oracle.back());
+          held.push_back(oracle.back());
+          oracle.pop_back();
+        }
+        ASSERT_EQ(pm.small_frames_free(), oracle.size());
+      }
+      EXPECT_THROW(pm.alloc_small_frame(), SimError);
+      EXPECT_EQ(pm.small_frames_free(), 0u);
+    }
+  }
 }
 
 class AddressSpaceTest : public ::testing::Test {
@@ -142,6 +188,25 @@ TEST_F(AddressSpaceTest, HostSpanReadsBackWrites) {
   auto r = as.host_span(m.va_base + 100, 1000);
   for (std::size_t i = 0; i < r.size(); ++i)
     ASSERT_EQ(r[i], static_cast<std::uint8_t>(i));
+}
+
+TEST_F(AddressSpaceTest, NewMappingsReadZerosEvenOnReusedHostMemory) {
+  // Each round's mapping likely lands on the host block the previous
+  // round filled with 0xff and unmapped.
+  const auto all = [](std::span<std::uint8_t> s, std::uint8_t v) {
+    return std::all_of(s.begin(), s.end(),
+                       [v](std::uint8_t b) { return b == v; });
+  };
+  for (PageKind kind : {PageKind::Small, PageKind::Huge}) {
+    for (int round = 0; round < 3; ++round) {
+      const Mapping& m = as.map(16 * kSmallPageSize, kind);
+      auto s = as.host_span(m.va_base, m.length);
+      ASSERT_TRUE(all(s, 0)) << "round " << round;
+      std::fill(s.begin(), s.end(), 0xff);
+      ASSERT_TRUE(all(as.host_span(m.va_base, m.length), 0xff));
+      as.unmap(m.va_base);
+    }
+  }
 }
 
 TEST_F(AddressSpaceTest, UnmapReleasesFrames) {

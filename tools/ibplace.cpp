@@ -385,7 +385,7 @@ int cmd_nas(const std::string& kernel, const Options& o) {
     opt.hugepages = huge != 0;
     core::Cluster& cluster = telemetry_cluster.emplace(cluster_config(opt));
     r[huge] = workloads::run_nas(kernel, cluster,
-                                 workloads::NasScale{o.scale});
+                                 workloads::NasScale{o.scale, {}});
   }
   TextTable t({"placement", "total [ms]", "comm [ms]", "other [ms]",
                "TLB misses", "verified"});
