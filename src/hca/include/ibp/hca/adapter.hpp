@@ -9,10 +9,10 @@
 //
 // Everything is computed synchronously inside the posting rank's turn:
 // the adapter derives completion timestamps from its cost model and link /
-// QP busy-tracking, stages payload bytes, and pushes CQEs that become
+// QP busy-tracking, moves payload bytes, and pushes CQEs that become
 // pollable at their ready time. Because the engine executes ranks in
-// global virtual-time order, writing receiver host memory at staging time
-// is safe for any program that reads only after observing the completion.
+// global virtual-time order, writing receiver host memory at post time is
+// safe for any program that reads only after observing the completion.
 
 #include <cstdint>
 #include <deque>
@@ -171,6 +171,10 @@ class QueuePair {
             CompletionQueue* rcq)
       : adapter_(adapter), qp_num_(num), send_cq_(scq), recv_cq_(rcq) {}
 
+  /// A message bound for the peer's inbound queue. Only a two-sided Send
+  /// stages its payload in `data`, since it waits there for a posted
+  /// receive; a one-sided write places its payload directly at post time,
+  /// and a write-with-immediate arrives here with `data` empty.
   struct StagedMsg {
     std::vector<std::uint8_t> data;
     TimePs arrival = 0;  // fully received at the peer HCA

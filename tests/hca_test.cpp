@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <initializer_list>
+#include <span>
+#include <utility>
+#include <vector>
+
 #include "ibp/hca/completion_queue.hpp"
 
 namespace ibp::hca {
@@ -355,6 +361,12 @@ TEST(RdmaWrite, WriteWithImmediateConsumesAReceive) {
   const auto ra = t.a.reg_mr(t.as_a, ma.va_base, 64 * kKiB, kSmallPageSize);
   const auto rb = t.b.reg_mr(t.as_b, mb.va_base, 64 * kKiB, kSmallPageSize);
 
+  auto src = t.as_a.host_span(ma.va_base, 2048);
+  for (std::size_t i = 0; i < src.size(); ++i)
+    src[i] = static_cast<std::uint8_t>(i * 11 + 3);
+  auto recv_buf = t.as_b.host_span(mb.va_base, 64);
+  std::fill(recv_buf.begin(), recv_buf.end(), std::uint8_t{0xee});
+
   RecvWr rwr;
   rwr.wr_id = 70;
   rwr.sges = {{mb.va_base, 64, rb.mr->lkey}};
@@ -377,6 +389,114 @@ TEST(RdmaWrite, WriteWithImmediateConsumesAReceive) {
   // The receive reports the write length; the payload landed one-sided at
   // remote_addr, not in the consumed receive's scatter list.
   EXPECT_EQ(rcqe->byte_len, 2048u);
+  auto dst = t.as_b.host_span(mb.va_base + 4096, 2048);
+  for (std::size_t i = 0; i < dst.size(); ++i)
+    ASSERT_EQ(dst[i], static_cast<std::uint8_t>(i * 11 + 3));
+  for (const std::uint8_t b : recv_buf) ASSERT_EQ(b, 0xee);
+}
+
+TEST(RdmaWrite, GatherListLandsBackToBackInSgeOrder) {
+  TwoNodes t;
+  auto& ma = t.as_a.map(4 * kSmallPageSize, mem::PageKind::Small);
+  auto& mb = t.as_b.map(4 * kSmallPageSize, mem::PageKind::Small);
+  const auto ra =
+      t.a.reg_mr(t.as_a, ma.va_base, 4 * kSmallPageSize, kSmallPageSize);
+  const auto rb =
+      t.b.reg_mr(t.as_b, mb.va_base, 4 * kSmallPageSize, kSmallPageSize);
+
+  // Three pieces of different lengths, listed out of address order.
+  const std::uint32_t lens[3] = {700, 1, 2500};
+  const VirtAddr addrs[3] = {ma.va_base + 2 * kSmallPageSize + 9,
+                             ma.va_base + 100, ma.va_base + kSmallPageSize};
+  SendWr wr;
+  wr.opcode = Opcode::RdmaWrite;
+  std::vector<std::uint8_t> expect;
+  for (int p = 0; p < 3; ++p) {
+    auto s = t.as_a.host_span(addrs[p], lens[p]);
+    for (std::size_t i = 0; i < s.size(); ++i)
+      s[i] = static_cast<std::uint8_t>(p * 80 + i * 7);
+    expect.insert(expect.end(), s.begin(), s.end());
+    wr.sges.push_back({addrs[p], lens[p], ra.mr->lkey});
+  }
+  auto around = t.as_b.host_span(mb.va_base, 4 * kSmallPageSize);
+  std::fill(around.begin(), around.end(), std::uint8_t{0xa5});
+  wr.remote_addr = mb.va_base + 333;
+  wr.rkey = rb.mr->lkey;
+  t.qa->post_send(wr, 0);
+  ASSERT_TRUE(t.a_scq.poll(ms(10)));
+
+  for (std::size_t i = 0; i < around.size(); ++i) {
+    const bool inside = i >= 333 && i < 333 + expect.size();
+    ASSERT_EQ(around[i], inside ? expect[i - 333] : 0xa5) << "byte " << i;
+  }
+}
+
+// Two QPs on one adapter wired to each other: every SGE and the write's
+// target live in the same address space, so sources and destination can
+// overlap.
+struct Loopback {
+  Loopback() {
+    q1 = &hca.create_qp(&scq1, &rcq1);
+    q2 = &hca.create_qp(&scq2, &rcq2);
+    q1->connect(q2);
+    q2->connect(q1);
+    auto& m = as.map(16 * kSmallPageSize, mem::PageKind::Small);
+    base = m.va_base;
+    lkey = hca.reg_mr(as, base, 16 * kSmallPageSize, kSmallPageSize).mr->lkey;
+    bytes = as.host_span(base, 16 * kSmallPageSize);
+    for (std::size_t i = 0; i < bytes.size(); ++i)
+      bytes[i] = static_cast<std::uint8_t>(i * 13 + (i >> 9));
+  }
+
+  /// Writes `sges` (offsets into the mapping) to offset `to`, and returns
+  /// what the mapping must read afterwards: every source read before any
+  /// byte lands.
+  std::vector<std::uint8_t> write(
+      std::initializer_list<std::pair<std::uint64_t, std::uint32_t>> sges,
+      std::uint64_t to) {
+    std::vector<std::uint8_t> expect(bytes.begin(), bytes.end());
+    std::vector<std::uint8_t> payload;
+    SendWr wr;
+    wr.opcode = Opcode::RdmaWrite;
+    for (const auto& [off, len] : sges) {
+      payload.insert(payload.end(), bytes.begin() + off,
+                     bytes.begin() + off + len);
+      wr.sges.push_back({base + off, len, lkey});
+    }
+    std::copy(payload.begin(), payload.end(), expect.begin() + to);
+    wr.remote_addr = base + to;
+    wr.rkey = lkey;
+    q1->post_send(wr, 0);
+    return expect;
+  }
+
+  mem::PhysicalMemory pm{64 * kMiB, 16, 3};
+  mem::HugeTlbFs fs{&pm, 16, 0};
+  mem::AddressSpace as{&pm, &fs};
+  Adapter hca{0, AdapterConfig{}};
+  CompletionQueue scq1, rcq1, scq2, rcq2;
+  QueuePair* q1 = nullptr;
+  QueuePair* q2 = nullptr;
+  VirtAddr base = 0;
+  std::uint32_t lkey = 0;
+  std::span<std::uint8_t> bytes;
+};
+
+TEST(RdmaWrite, LoopbackOverlappingWriteActsLikeMemmove) {
+  Loopback lb;
+  const auto expect = lb.write({{0, 8 * kKiB}}, 1000);
+  ASSERT_TRUE(lb.scq1.poll(ms(10)));
+  EXPECT_TRUE(std::equal(expect.begin(), expect.end(), lb.bytes.begin()));
+}
+
+TEST(RdmaWrite, LoopbackGatherReadsEverySourceBeforePlacing) {
+  Loopback lb;
+  // The first SGE lands on [3000, 5000), over the start of the second
+  // source [4000, 7000): that source must still arrive as it was posted.
+  const auto expect = lb.write({{9000, 2000}, {4000, 3000}}, 3000);
+  ASSERT_TRUE(lb.scq1.poll(ms(10)));
+  for (std::size_t i = 0; i < expect.size(); ++i)
+    ASSERT_EQ(lb.bytes[i], expect[i]) << "byte " << i;
 }
 
 TEST(RdmaWrite, InlinePostPaysCpuCopyPerByte) {
