@@ -16,8 +16,8 @@
 //   * golden — a 1-server fabric carrying un-striped traffic must be
 //     byte-identical (trace hash and span) to the plain RpcServer path.
 //
-// Deterministic: identical seeds produce byte-identical output (the CI
-// fabric-smoke job runs this twice and diffs the JSON).
+// Deterministic: identical seeds produce byte-identical output; the
+// fabric_scale_golden and fabric_crash_golden ctests pin --short --json.
 //
 // Optional arguments:
 //   --placement=POLICY      plan every buffer with the named policy
@@ -29,7 +29,7 @@
 //                           client health monitor
 //   --fault-file=PATH       fault plan from a file (appended to --fault)
 //   --recovery=MODE         failfast | repost transport recovery
-//   --short                 fewer requests (CI smoke mode)
+//   --short                 fewer requests (the ctest golden mode)
 //   --json=PATH             also write results as JSON
 //   --request-trace-out=PATH  enable per-request tracing; the file holds
 //                           the last sweep run's JSONL stream

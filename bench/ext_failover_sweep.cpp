@@ -21,10 +21,10 @@
 // The crash/recover times and the goodput window width derive from the
 // measured baseline span, so the scenario adapts to the platform while
 // staying fully deterministic: identical seeds produce byte-identical
-// output (the CI failover-smoke job runs this twice and diffs the JSON).
+// output, and the failover_sweep_golden ctest pins --short --json.
 //
 // Optional arguments:
-//   --short       fewer requests (CI smoke mode)
+//   --short       fewer requests (the ctest golden mode)
 //   --json=PATH   also write results as JSON
 
 #include <cstdio>

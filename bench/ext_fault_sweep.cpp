@@ -9,7 +9,7 @@
 // identical across runs):
 //   --placement=POLICY  run the drop-rate sweep with the named placement
 //                       policy planning every buffer (hugepage library on)
-//   --short             fewer drop rates/iterations (CI smoke mode)
+//   --short             fewer drop rates/iterations (the ctest mode)
 //   --json=PATH         also write the measured points as JSON
 
 #include <cstdio>

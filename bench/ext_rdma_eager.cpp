@@ -20,7 +20,7 @@
 // advantage ever regresses.
 //
 // Optional arguments:
-//   --short       fewer iterations (CI smoke mode)
+//   --short       fewer iterations (the ctest golden mode)
 //   --json=PATH   also write results as JSON
 
 #include <cstdio>
@@ -193,9 +193,10 @@ int main(int argc, char** argv) {
                               : 0.0;
   std::printf("  response-ring p50 speedup: %.2fx\n\n", p50_gain);
 
-  // Acceptance floor (ISSUE 10): the one-sided tier must actually win
-  // where its mechanism says it should. A regression that erodes the
-  // advantage fails the bench (and the CI rdma-smoke job) outright.
+  // Acceptance floor: the one-sided tier must actually win where its
+  // mechanism says it should, and the response ring must carry responses
+  // only when it is on. A regression fails the bench (and the
+  // rdma_eager_golden ctest) outright.
   bool ok = true;
   for (const Row& r : rows) {
     if (r.bytes > 1024) continue;  // small-message floor only
@@ -221,6 +222,14 @@ int main(int argc, char** argv) {
                  "p50 %.2f us\n",
                  on.gen.latency_ns.p50() / 1000.0,
                  off.gen.latency_ns.p50() / 1000.0);
+    ok = false;
+  }
+  if (on.server.ring_responses == 0 || off.server.ring_responses != 0) {
+    std::fprintf(stderr,
+                 "FLOOR VIOLATION: ring responses %llu with the ring on "
+                 "(want > 0), %llu with it off (want 0)\n",
+                 static_cast<unsigned long long>(on.server.ring_responses),
+                 static_cast<unsigned long long>(off.server.ring_responses));
     ok = false;
   }
   std::printf("acceptance floor: %s\n", ok ? "pass" : "FAIL");

@@ -13,14 +13,15 @@
 // *accepted* requests stays within a small multiple of the uncontended
 // p99 instead of growing with the offered load.
 //
-// Deterministic: identical seeds produce byte-identical output (the CI
-// rpc-smoke job runs this twice and diffs the JSON).
+// Deterministic: identical seeds produce byte-identical output, and the
+// rpc_loadgen_t1_golden ctest pins the --short --json output. The bench
+// exits 1 when a serving floor breaks (see the end of main).
 //
 // Optional arguments:
 //   --mode=open|closed|all  which experiment (default all)
 //   --placement=POLICY      plan every buffer with the named policy
 //                           (hugepage library on)
-//   --short                 fewer requests (CI smoke mode)
+//   --short                 fewer requests (the ctest golden mode)
 //   --json=PATH             also write results as JSON
 //   --request-trace-out=PATH  enable per-request tracing; the file holds
 //                           the last run's exemplar/stage JSONL stream
@@ -199,6 +200,18 @@ void json_result(std::ofstream& out, const char* key, const RunOut& r,
       << ", \"trace_hash\": \"" << hash << "\"}";
 }
 
+double speedup(const RunOut& batched, const RunOut& unbatched) {
+  return unbatched.gen.achieved_rps() > 0
+             ? batched.gen.achieved_rps() / unbatched.gen.achieved_rps()
+             : 0.0;
+}
+
+double p99_ratio(const RunOut& overload, const RunOut& uncont) {
+  return uncont.gen.latency_ns.p99() > 0
+             ? overload.gen.latency_ns.p99() / uncont.gen.latency_ns.p99()
+             : 0.0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -243,11 +256,7 @@ int main(int argc, char** argv) {
                 rate / 1e6);
     print_result("batched", batched);
     print_result("unbatched", unbatched);
-    std::printf("  batching speedup: %.2fx\n\n",
-                unbatched.gen.achieved_rps() > 0
-                    ? batched.gen.achieved_rps() /
-                          unbatched.gen.achieved_rps()
-                    : 0.0);
+    std::printf("  batching speedup: %.2fx\n\n", speedup(batched, unbatched));
   }
   if (do_closed) {
     uncont = run_closed(w_base, closed_n, placement);
@@ -256,10 +265,7 @@ int main(int argc, char** argv) {
     print_result("2 workers", uncont);
     print_result("32 workers", overload);
     std::printf("  accepted p99 under overload: %.2fx uncontended\n\n",
-                uncont.gen.latency_ns.p99() > 0
-                    ? overload.gen.latency_ns.p99() /
-                          uncont.gen.latency_ns.p99()
-                    : 0.0);
+                p99_ratio(overload, uncont));
   }
 
   if (!json_path.empty()) {
@@ -273,10 +279,7 @@ int main(int argc, char** argv) {
       json_result(out, "batched", batched, "    ");
       out << ",\n";
       json_result(out, "unbatched", unbatched, "    ");
-      out << ",\n    \"speedup\": "
-          << (unbatched.gen.achieved_rps() > 0
-                  ? batched.gen.achieved_rps() / unbatched.gen.achieved_rps()
-                  : 0.0)
+      out << ",\n    \"speedup\": " << speedup(batched, unbatched)
           << "\n  }";
     }
     if (do_closed) {
@@ -285,14 +288,34 @@ int main(int argc, char** argv) {
       json_result(out, "uncontended", uncont, "    ");
       out << ",\n";
       json_result(out, "overload", overload, "    ");
-      out << ",\n    \"p99_ratio\": "
-          << (uncont.gen.latency_ns.p99() > 0
-                  ? overload.gen.latency_ns.p99() /
-                        uncont.gen.latency_ns.p99()
-                  : 0.0)
+      out << ",\n    \"p99_ratio\": " << p99_ratio(overload, uncont)
           << "\n  }";
     }
     out << "\n}\n";
   }
-  return 0;
+
+  // Serving floors: batching must at least double open-loop capacity, and
+  // admission control must shed the overload (counted by both the
+  // generator and rpc.shed_total) to keep the accepted p99 within 5x.
+  int rc = 0;
+  if (do_open && speedup(batched, unbatched) < 2.0) {
+    std::fprintf(stderr, "FAIL: batching speedup %.2fx < 2x\n",
+                 speedup(batched, unbatched));
+    rc = 1;
+  }
+  if (do_closed &&
+      (overload.gen.shed == 0 || overload.shed_total_metric == 0)) {
+    std::fprintf(stderr,
+                 "FAIL: overload run shed %llu requests, rpc.shed_total "
+                 "%.0f; both must be > 0\n",
+                 static_cast<unsigned long long>(overload.gen.shed),
+                 overload.shed_total_metric);
+    rc = 1;
+  }
+  if (do_closed && p99_ratio(overload, uncont) >= 5.0) {
+    std::fprintf(stderr, "FAIL: accepted p99 under overload %.2fx >= 5x\n",
+                 p99_ratio(overload, uncont));
+    rc = 1;
+  }
+  return rc;
 }

@@ -19,11 +19,13 @@
 //     workers, at the price of the hand-off latency on every response.
 //
 // Expected ordering at high T: per-thread-qp > dispatcher >
-// shared-locked. The thread-smoke CI job asserts per-thread-qp beats
-// shared-locked by >= 1.5x at T=4 and diffs two runs byte-for-byte.
+// shared-locked. The bench exits 1 unless that ordering holds at T=4,
+// per-thread-qp beats shared-locked there by >= 1.5x, and shared-locked
+// is charged lock arbitration; the thread_scale_golden ctest pins the
+// --short --json output.
 //
 // Optional arguments:
-//   --short       fewer requests (CI smoke mode)
+//   --short       fewer requests (the ctest golden mode)
 //   --json=PATH   also write results as JSON
 //   --request-trace-out=PATH  enable per-request tracing; the file holds
 //                 the last sweep cell's JSONL stream
@@ -215,5 +217,27 @@ int main(int argc, char** argv) {
     out << "\n  },\n  \"t4_speedup_perthread_vs_shared\": " << t4_speedup
         << "\n}\n";
   }
-  return 0;
+
+  // Share-mode floors at T=4 (column 2).
+  int rc = 0;
+  if (t4_speedup < 1.5) {
+    std::fprintf(stderr,
+                 "FAIL: T=4 per-thread-qp/shared-locked %.2fx < 1.5x\n",
+                 t4_speedup);
+    rc = 1;
+  }
+  if (cells[0][2].qp_contention_ps == 0) {
+    std::fprintf(stderr,
+                 "FAIL: shared-locked at T=4 charged no lock arbitration\n");
+    rc = 1;
+  }
+  if (!(rps(cells[1][2]) > rps(cells[2][2]) &&
+        rps(cells[2][2]) > rps(cells[0][2]))) {
+    std::fprintf(stderr,
+                 "FAIL: T=4 order is not per-thread-qp > dispatcher > "
+                 "shared-locked (%.0f, %.0f, %.0f req/s)\n",
+                 rps(cells[1][2]), rps(cells[2][2]), rps(cells[0][2]));
+    rc = 1;
+  }
+  return rc;
 }

@@ -16,7 +16,7 @@
 //                       named placement policy planning every buffer
 //                       (hugepage library on, lazy deregistration off —
 //                       the registration-sensitive configuration)
-//   --short             fewer sizes/iterations (CI smoke mode)
+//   --short             fewer sizes/iterations (the ctest mode)
 //   --json=PATH         also write the measured points as JSON
 
 #include <cstdio>

@@ -287,7 +287,7 @@ std::uint32_t FabricClient::pick_link(std::uint32_t start,
     }
     IBP_CHECK(!dead(rr), "no alive link to pick");
   }
-  if (!cfg_.adaptive_links || width <= 1) return rr;
+  if (width <= 1) return rr;
   // Least-outstanding link of the fan-out set [start, start+width);
   // rotation breaks ties deterministically so an idle fleet still
   // round-robins.

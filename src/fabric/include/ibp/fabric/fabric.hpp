@@ -148,9 +148,6 @@ struct FabricConfig {
   /// Segment payload size; 0 = ask the placement engine (its
   /// Role::StripeSegment plan's chunk), clamped to rpc.max_payload.
   std::uint32_t segment_bytes = 0;
-  /// Congestion-aware link choice: pick the least-loaded link of the
-  /// fan-out set instead of pure rotation.
-  bool adaptive_links = true;
   /// Max stripes being reassembled concurrently; submit blocks on more.
   std::uint32_t reassembly_window = 8;
   /// Server-side shard arena (Role::RpcShard), allocated lazily on the

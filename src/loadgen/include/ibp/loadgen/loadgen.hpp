@@ -16,8 +16,8 @@
 // Both record Ok-completion latency into a fixed-bucket log-scale
 // histogram (LogHistogram, <= 12.5 % quantile error) and fold
 // the completion trace (id, status, latency) into an FNV-1a hash:
-// identical seeds and configs must produce identical hashes, which is
-// what the rpc-smoke CI job asserts by diffing two runs byte-for-byte.
+// identical seeds and configs must produce identical hashes, which the
+// bench golden ctests pin byte-for-byte.
 
 #include <cstdint>
 

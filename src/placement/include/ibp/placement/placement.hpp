@@ -11,7 +11,7 @@
 // lazy-pin flag in regcache, ad-hoc knobs in the ablation benches). The
 // PlacementEngine consolidates them: given a buffer request (size, role,
 // datatype layout) it returns a BufferPlan — backing page size,
-// alignment/offset, chunking, SGE layout, registration strategy — behind
+// alignment, chunking, SGE layout, registration strategy — behind
 // a pluggable Policy interface, the way MPICH2-over-InfiniBand keeps its
 // protocol/registration choices in one tunable layer.
 //
@@ -93,9 +93,6 @@ struct BufferPlan {
   /// Required start alignment (0 = allocator default). The heap honours
   /// this via its aligned-allocation path.
   std::uint64_t alignment = 0;
-  /// Preferred intra-page offset for WR buffers (§4; advisory — consumed
-  /// by work-request layout, not by the heap).
-  std::uint64_t offset = 0;
   /// Heap carving granularity (the paper's 4 KB chunks, §3.2 #4).
   std::uint64_t chunk = 4 * kKiB;
   /// Protocol for message-role requests.
@@ -235,25 +232,6 @@ class AdaptivePolicy : public Policy {
   Bucket buckets_[kBuckets];
 };
 
-/// Diagnostic policy for calibrating a new platform configuration: walks
-/// the Figure 4 intra-page offsets (0, 8, ..., 256 — the paper's sweep)
-/// deterministically, one offset per successive plan, so a fixed request
-/// stream probes every offset in order. Not part of the bench sweep
-/// registry; resolve it by name ("offset-sweep").
-class OffsetSweepPolicy : public PaperDefaultPolicy {
- public:
-  std::string_view name() const override { return "offset-sweep"; }
-  std::string_view description() const override;
-  BufferPlan plan(const BufferRequest& req,
-                  const PolicyContext& ctx) const override;
-
-  /// The deterministic offset sequence the policy cycles through.
-  static const std::vector<std::uint64_t>& offsets();
-
- private:
-  mutable std::size_t next_ = 0;  // cycles through offsets()
-};
-
 // ---------------------------------------------------------------------------
 // Registry
 
@@ -264,16 +242,10 @@ struct PolicyInfo {
 };
 
 /// All built-in policies, in registration order. Benches sweep exactly
-/// this list; diagnostic policies live in diagnostic_policies() so adding
-/// one never perturbs existing sweep outputs.
+/// this list.
 const std::vector<PolicyInfo>& registered_policies();
 
-/// Diagnostic/calibration policies (resolvable by make_policy but kept
-/// out of the bench sweeps): currently `offset-sweep`.
-const std::vector<PolicyInfo>& diagnostic_policies();
-
-/// Instantiate a policy by registry or diagnostic name; nullptr for an
-/// unknown name.
+/// Instantiate a policy by registry name; nullptr for an unknown name.
 std::unique_ptr<Policy> make_policy(std::string_view name);
 
 /// Comma-separated registry names (for error messages / usage text).

@@ -82,7 +82,6 @@ BufferPlan PaperDefaultPolicy::plan(const BufferRequest& req,
                   ? mem::PageKind::Huge
                   : mem::PageKind::Small;
   p.alignment = 0;  // allocator default (chunk-granular carve)
-  p.offset = 0;
   p.chunk = ctx.chunk;
   // Protocol: mirrors mpi::Comm::isend exactly.
   if (req.size <= ctx.eager_threshold) {
@@ -127,10 +126,7 @@ BufferPlan AlignFirstPolicy::plan(const BufferRequest& req,
   BufferPlan p = PaperDefaultPolicy::plan(req, ctx);
   // Fig. 4: throughput for small WRs depends on the buffer's intra-page
   // offset; 64-byte-aligned starts hit the adapter's burst fast path.
-  if (req.size < kSmallPageSize) {
-    p.alignment = 64;
-    p.offset = 64;
-  }
+  if (req.size < kSmallPageSize) p.alignment = 64;
   return p;
 }
 
@@ -271,36 +267,6 @@ double AdaptivePolicy::observed_gather_cost(std::uint64_t size,
 }
 
 // ---------------------------------------------------------------------------
-// OffsetSweep (diagnostic)
-
-std::string_view OffsetSweepPolicy::description() const {
-  return "diagnostic: walks the Fig. 4 intra-page offsets (0..256 step 8) "
-         "deterministically, for calibrating new platform configs";
-}
-
-const std::vector<std::uint64_t>& OffsetSweepPolicy::offsets() {
-  static const std::vector<std::uint64_t> kOffsets = [] {
-    std::vector<std::uint64_t> v;
-    for (std::uint64_t off = 0; off <= 256; off += 8) v.push_back(off);
-    return v;
-  }();
-  return kOffsets;
-}
-
-BufferPlan OffsetSweepPolicy::plan(const BufferRequest& req,
-                                   const PolicyContext& ctx) const {
-  BufferPlan p = PaperDefaultPolicy::plan(req, ctx);
-  // Only sub-page WR buffers have a meaningful intra-page offset; larger
-  // requests keep the paper-default plan so the sweep never perturbs the
-  // bulk placement under test.
-  if (req.size < kSmallPageSize) {
-    p.offset = offsets()[next_ % offsets().size()];
-    ++next_;
-  }
-  return p;
-}
-
-// ---------------------------------------------------------------------------
 // Registry
 
 namespace {
@@ -330,22 +296,8 @@ const std::vector<PolicyInfo>& registered_policies() {
   return kPolicies;
 }
 
-const std::vector<PolicyInfo>& diagnostic_policies() {
-  static const std::vector<PolicyInfo> kPolicies = [] {
-    std::vector<PolicyInfo> v;
-    OffsetSweepPolicy probe;
-    v.push_back({probe.name(), probe.description(),
-                 &make_impl<OffsetSweepPolicy>});
-    return v;
-  }();
-  return kPolicies;
-}
-
 std::unique_ptr<Policy> make_policy(std::string_view name) {
   for (const PolicyInfo& info : registered_policies()) {
-    if (info.name == name) return info.make();
-  }
-  for (const PolicyInfo& info : diagnostic_policies()) {
     if (info.name == name) return info.make();
   }
   return nullptr;
@@ -354,10 +306,6 @@ std::unique_ptr<Policy> make_policy(std::string_view name) {
 std::string known_policy_names() {
   std::string out;
   for (const PolicyInfo& info : registered_policies()) {
-    if (!out.empty()) out += ", ";
-    out += info.name;
-  }
-  for (const PolicyInfo& info : diagnostic_policies()) {
     if (!out.empty()) out += ", ";
     out += info.name;
   }

@@ -78,7 +78,6 @@ struct RingConfig {
   /// Return credit once slab_bytes/credit_div have been consumed since
   /// the last credit write (amortizes the control-word writes).
   std::uint32_t credit_div = 4;
-  bool inline_small = true;  // inline frames up to the HCA inline_max
 };
 
 /// Receiver-side slab coordinates, shipped to the sender out of band.

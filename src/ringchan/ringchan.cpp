@@ -114,8 +114,7 @@ hca::SendWr RingReceiver::make_credit_wr() {
   wr.sges = {{credit_src_, 8, credit_src_mr_.lkey}};
   wr.remote_addr = credit_.word;
   wr.rkey = credit_.rkey;
-  wr.inline_data =
-      cfg_.inline_small && 8 <= env_->verbs().adapter().config().inline_max;
+  wr.inline_data = 8 <= env_->verbs().adapter().config().inline_max;
   credited_ = consumed_;
   ++credit_writes_;
   return wr;
@@ -166,7 +165,6 @@ std::vector<hca::SendWr> RingSender::prepare(const std::uint8_t* a,
   const std::uint32_t len = alen + blen;
   IBP_CHECK(can_send(len), "prepare() without can_send()");
   const std::uint32_t inline_max = env_->verbs().adapter().config().inline_max;
-  const bool want_inline = cfg_.inline_small;
   std::vector<hca::SendWr> wrs;
 
   std::uint64_t off = head_ % cfg_.slab_bytes;
@@ -182,7 +180,7 @@ std::vector<hca::SendWr> RingSender::prepare(const std::uint8_t* a,
     wrap.sges = {{staging_ + off, 8, staging_mr_.lkey}};
     wrap.remote_addr = ring_.slab + off;
     wrap.rkey = ring_.rkey;
-    wrap.inline_data = want_inline && 8 <= inline_max;
+    wrap.inline_data = 8 <= inline_max;
     wrs.push_back(std::move(wrap));
     head_ += cfg_.slab_bytes - off;
     ++seq_;
@@ -210,7 +208,7 @@ std::vector<hca::SendWr> RingSender::prepare(const std::uint8_t* a,
               staging_mr_.lkey}};
   wr.remote_addr = ring_.slab + off;
   wr.rkey = ring_.rkey;
-  wr.inline_data = want_inline && need <= inline_max;
+  wr.inline_data = need <= inline_max;
   wrs.push_back(std::move(wr));
   head_ += need;
   ++seq_;

@@ -28,24 +28,17 @@ std::vector<ImbPoint> run_sendrecv(core::Cluster& cluster,
     const int left = (env.rank() - 1 + n) % n;
 
     VirtAddr sbuf = 0, rbuf = 0;
-    std::uint64_t cur_cap = 0;
-    auto ensure_buffers = [&](std::uint64_t bytes) {
-      if (!cfg.fresh_buffers && cur_cap >= bytes) return;
+    for (std::size_t si = 0; si < cfg.sizes.size(); ++si) {
+      const std::uint64_t bytes = std::max<std::uint64_t>(cfg.sizes[si], 64);
       if (sbuf != 0) {
         env.dealloc(sbuf);
         env.dealloc(rbuf);
       }
       sbuf = env.alloc(bytes);
       rbuf = env.alloc(bytes);
-      cur_cap = bytes;
       // First touch, as a real benchmark would when initializing.
       env.touch_stream(sbuf, bytes);
       env.touch_stream(rbuf, bytes);
-    };
-
-    for (std::size_t si = 0; si < cfg.sizes.size(); ++si) {
-      const std::uint64_t bytes = std::max<std::uint64_t>(cfg.sizes[si], 64);
-      ensure_buffers(bytes);
       for (int w = 0; w < cfg.warmup; ++w)
         comm.sendrecv(sbuf, cfg.sizes[si], right, 0, rbuf, cfg.sizes[si],
                       left, 0);
@@ -88,15 +81,12 @@ std::vector<ImbPoint> run_pingpong(core::Cluster& cluster,
     if (env.rank() > 1) return;  // spectators, as in IMB
     const int other = 1 - env.rank();
     VirtAddr buf = 0;
-    std::uint64_t cap = 0;
     for (std::size_t si = 0; si < cfg.sizes.size(); ++si) {
       const std::uint64_t bytes = cfg.sizes[si];
-      if (cfg.fresh_buffers || cap < bytes) {
-        if (buf != 0) env.dealloc(buf);
-        cap = std::max<std::uint64_t>(bytes, 64);
-        buf = env.alloc(cap);
-        env.touch_stream(buf, cap);
-      }
+      if (buf != 0) env.dealloc(buf);
+      const std::uint64_t cap = std::max<std::uint64_t>(bytes, 64);
+      buf = env.alloc(cap);
+      env.touch_stream(buf, cap);
       auto round = [&] {
         if (env.rank() == 0) {
           comm.send(buf, bytes, other, 0);
@@ -142,20 +132,17 @@ std::vector<ImbPoint> run_exchange(core::Cluster& cluster,
     const int right = (env.rank() + 1) % n;
     const int left = (env.rank() - 1 + n) % n;
     VirtAddr sbuf = 0, rbuf = 0;
-    std::uint64_t cap = 0;
     for (std::size_t si = 0; si < cfg.sizes.size(); ++si) {
       const std::uint64_t bytes = cfg.sizes[si];
-      if (cfg.fresh_buffers || cap < bytes) {
-        if (sbuf != 0) {
-          env.dealloc(sbuf);
-          env.dealloc(rbuf);
-        }
-        cap = std::max<std::uint64_t>(bytes, 64);
-        sbuf = env.alloc(cap * 2);
-        rbuf = env.alloc(cap * 2);
-        env.touch_stream(sbuf, cap * 2);
-        env.touch_stream(rbuf, cap * 2);
+      if (sbuf != 0) {
+        env.dealloc(sbuf);
+        env.dealloc(rbuf);
       }
+      const std::uint64_t cap = std::max<std::uint64_t>(bytes, 64);
+      sbuf = env.alloc(cap * 2);
+      rbuf = env.alloc(cap * 2);
+      env.touch_stream(sbuf, cap * 2);
+      env.touch_stream(rbuf, cap * 2);
       auto round = [&] {
         mpi::Req rs[4] = {
             comm.irecv(rbuf, bytes, left, 0),

@@ -7,7 +7,9 @@
 // bandwidth counts bytes in both directions. The paper runs it in two
 // configurations: lazy deregistration on (pure transfer time) and off
 // (transfer + registration each iteration); buffers are placed either by
-// libc (small pages) or by the preloaded hugepage library.
+// libc (small pages) or by the preloaded hugepage library. Every size gets
+// freshly allocated, first-touched buffers, like IMB's off-cache mode in
+// an allocating application.
 
 #include <cstdint>
 #include <functional>
@@ -30,9 +32,6 @@ struct ImbConfig {
   std::vector<std::uint64_t> sizes;  // message sizes to sweep
   int iterations = 20;               // timed iterations per size
   int warmup = 2;
-  /// Reallocate the message buffer for every size (fresh pages each time,
-  /// like IMB's default off-cache mode combined with an allocating app).
-  bool fresh_buffers = true;
   /// MPI layer configuration (protocol thresholds, recovery policy —
   /// relevant when the cluster runs under a fault plan).
   mpi::CommConfig comm;

@@ -61,7 +61,6 @@ TEST(PaperDefault, GoldenEquivalenceSweep) {
                 << "size " << size;
             EXPECT_EQ(p.chunk, 4 * kKiB);
             EXPECT_EQ(p.alignment, 0u) << "paper-default adds no alignment";
-            EXPECT_EQ(p.offset, 0u);
 
             // mpi::Comm::isend's exact protocol conditions.
             if (size <= 8 * kKiB) {
@@ -147,7 +146,6 @@ TEST(AlignFirst, AlignsSubPageBuffers) {
   ctx.hugepages_enabled = true;
   const BufferPlan small = policy.plan({.size = 256}, ctx);
   EXPECT_EQ(small.alignment, 64u);
-  EXPECT_EQ(small.offset, 64u);
   // At or beyond a page the paper's default placement applies unchanged.
   const BufferPlan big = policy.plan({.size = 64 * kKiB}, ctx);
   EXPECT_EQ(big.alignment, 0u);
@@ -378,7 +376,7 @@ TEST(Cluster, PaperDefaultPolicyMatchesLegacyBehaviourBitExactly) {
 }
 
 // ---------------------------------------------------------------------------
-// Roles, per-role overrides, and the offset-sweep diagnostic
+// Roles and per-role overrides
 
 TEST(Roles, NamesRoundTrip) {
   const Role all[] = {Role::EagerSend,    Role::Rendezvous,
@@ -422,31 +420,6 @@ TEST(Engine, RoleOverrideRoutesPlansAndLeavesOthersAlone) {
   engine.set_role_policy(Role::RpcRing, nullptr);  // clear
   req.role = Role::RpcRing;
   EXPECT_EQ(engine.plan(req).backing, mem::PageKind::Huge);
-}
-
-TEST(OffsetSweep, WalksTheFigure4OffsetsForSubPageRequests) {
-  auto policy = make_policy("offset-sweep");
-  ASSERT_NE(policy, nullptr);
-  PolicyContext ctx;
-  BufferRequest req;
-  req.size = 512;
-  req.role = Role::EagerSend;
-  const auto& offs = OffsetSweepPolicy::offsets();
-  ASSERT_EQ(offs.size(), 33u);  // 0, 8, ..., 256
-  for (std::size_t i = 0; i < 2 * offs.size(); ++i)
-    EXPECT_EQ(policy->plan(req, ctx).offset, offs[i % offs.size()]) << i;
-  // Page-sized and larger requests keep the paper-default plan.
-  req.size = 4 * kKiB;
-  EXPECT_EQ(policy->plan(req, ctx).offset, 0u);
-}
-
-TEST(OffsetSweep, IsDiagnosticNotPartOfTheBenchRegistry) {
-  for (const PolicyInfo& info : registered_policies())
-    EXPECT_NE(info.name, "offset-sweep");
-  bool found = false;
-  for (const PolicyInfo& info : diagnostic_policies())
-    if (info.name == "offset-sweep") found = true;
-  EXPECT_TRUE(found);
 }
 
 }  // namespace

@@ -216,6 +216,34 @@ TEST(RequestTrace, JsonlStreamIsDeterministic) {
   EXPECT_NE(first.find("\"type\": \"request\""), std::string::npos);
   EXPECT_NE(first.find("\"type\": \"stages\""), std::string::npos);
   EXPECT_EQ(first, run_once());
+
+  // One meta and one stages record; every request record has the full
+  // exemplar schema.
+  std::map<std::string, int> types;
+  std::istringstream lines(first);
+  for (std::string line; std::getline(lines, line);) {
+    const std::string tag = "{\"type\": \"";
+    ASSERT_EQ(line.rfind(tag, 0), 0u) << line;
+    const std::string type =
+        line.substr(tag.size(), line.find('"', tag.size()) - tag.size());
+    ++types[type];
+    if (type == "request") {
+      for (const char* field :
+           {"trace", "parent", "origin", "tenant", "cls", "status", "retries",
+            "exemplar", "t0_ps", "latency_ps", "arbitration_ps", "spans"}) {
+        std::string key = "\"";
+        key += field;
+        key += "\": ";
+        EXPECT_NE(line.find(key), std::string::npos) << field;
+      }
+    } else if (type == "stages") {
+      EXPECT_NE(line.find("{\"stage\": \"service\""), std::string::npos);
+      EXPECT_NE(line.find("{\"stage\": \"net_request\""), std::string::npos);
+    }
+  }
+  EXPECT_EQ(types["meta"], 1);
+  EXPECT_EQ(types["stages"], 1);
+  EXPECT_GT(types["request"], 0);
 }
 
 // SLO burn counters: with an impossible latency target every steady-state
