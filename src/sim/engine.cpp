@@ -1,7 +1,6 @@
 #include "ibp/sim/engine.hpp"
 
 #include <sys/mman.h>
-#include <ucontext.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -15,6 +14,88 @@
 #include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
+
+#if !defined(__x86_64__)
+#error "sim::Engine has no lane switch (ibp_sim_switch) for this architecture"
+#endif
+
+// The lane switch (x86-64 System V psABI).
+//
+// ibp_sim_switch(save_sp, load_sp) pushes the state a callee must preserve
+// (rbp, rbx, r12-r15, then MXCSR and the x87 control word in one word)
+// onto the running stack, stores the stack pointer in *save_sp, loads
+// load_sp, pops the same state from there and returns into the lane that
+// owns that stack. The compiler sees an ordinary call. There is no system
+// call: the signal mask is the thread's, shared by every lane.
+//
+// A new lane's stack holds a first frame laid out as if the lane had made
+// that call itself, returning into ibp_sim_lane_start with the entry
+// function in r13 and its argument in r12 (see first_frame()). The
+// trampoline starts on a 16-byte aligned stack and calls r13(r12); the
+// entry never returns. Its zero rbp and undefined return address end the
+// frame chain there, so debuggers and unwinders stop at a lane's first
+// frame.
+extern "C" {
+void ibp_sim_switch(void** save_sp, void* load_sp) noexcept;
+void ibp_sim_lane_start() noexcept;
+}
+
+asm(R"(
+        .pushsection .text, "ax", @progbits
+        .p2align 4
+        .type ibp_sim_switch, @function
+ibp_sim_switch:
+        .cfi_startproc
+        pushq %rbp
+        .cfi_adjust_cfa_offset 8
+        pushq %rbx
+        .cfi_adjust_cfa_offset 8
+        pushq %r12
+        .cfi_adjust_cfa_offset 8
+        pushq %r13
+        .cfi_adjust_cfa_offset 8
+        pushq %r14
+        .cfi_adjust_cfa_offset 8
+        pushq %r15
+        .cfi_adjust_cfa_offset 8
+        subq $8, %rsp
+        .cfi_adjust_cfa_offset 8
+        stmxcsr (%rsp)
+        fnstcw 4(%rsp)
+        movq %rsp, (%rdi)
+        movq %rsi, %rsp
+        ldmxcsr (%rsp)
+        fldcw 4(%rsp)
+        addq $8, %rsp
+        .cfi_adjust_cfa_offset -8
+        popq %r15
+        .cfi_adjust_cfa_offset -8
+        popq %r14
+        .cfi_adjust_cfa_offset -8
+        popq %r13
+        .cfi_adjust_cfa_offset -8
+        popq %r12
+        .cfi_adjust_cfa_offset -8
+        popq %rbx
+        .cfi_adjust_cfa_offset -8
+        popq %rbp
+        .cfi_adjust_cfa_offset -8
+        ret
+        .cfi_endproc
+        .size ibp_sim_switch, .-ibp_sim_switch
+
+        .p2align 4
+        .type ibp_sim_lane_start, @function
+ibp_sim_lane_start:
+        .cfi_startproc
+        .cfi_undefined %rip
+        movq %r12, %rdi
+        callq *%r13
+        ud2
+        .cfi_endproc
+        .size ibp_sim_lane_start, .-ibp_sim_lane_start
+        .popsection
+)");
 
 namespace ibp::sim {
 namespace {
@@ -55,6 +136,33 @@ Stack map_stack() {
   return stack;
 }
 
+/// Lay out a new lane's first frame below `top`, in the order
+/// ibp_sim_switch pops it, and return the lane's saved stack pointer.
+/// The lane starts with the FP control state of the code that made it.
+void* first_frame(char* top, void (*entry)(Engine*), Engine* eng) {
+  std::uint32_t mxcsr = 0;
+  std::uint16_t x87_cw = 0;
+  asm volatile("stmxcsr %0" : "=m"(mxcsr));
+  asm volatile("fnstcw %0" : "=m"(x87_cw));
+  const std::uint64_t words[] = {
+      mxcsr | std::uint64_t{x87_cw} << 32,
+      0,                                           // r15
+      0,                                           // r14
+      reinterpret_cast<std::uintptr_t>(entry),     // r13
+      reinterpret_cast<std::uintptr_t>(eng),       // r12
+      0,                                           // rbx
+      0,                                           // rbp: ends the chain
+      reinterpret_cast<std::uintptr_t>(&ibp_sim_lane_start),
+      0,  // the trampoline's stack starts here, 16-byte aligned
+      0,
+  };
+  // The trampoline's stack pointer is sp + 64: aligned when sp is.
+  static_assert(sizeof words % 16 == 0);
+  char* sp = top - sizeof words;
+  std::memcpy(sp, words, sizeof words);
+  return sp;
+}
+
 }  // namespace
 
 struct Engine::TrackState {
@@ -67,36 +175,25 @@ struct Engine::TrackState {
   RankFn fn;              // the lane's program
   Stack stack;            // null for the host; released when run() returns
   bool started = false;   // the fiber has been entered
-  ucontext_t uc{};
+  void* sp = nullptr;     // saved stack pointer while suspended
 #ifdef __SANITIZE_ADDRESS__
   // Stack bounds for the switch annotations.
   const void* asan_bottom = nullptr;
   std::size_t asan_size = 0;
 #endif
 
-  /// Give this lane a stack and a context that enters eng->lane_main().
+  /// Give this lane a stack whose first switch enters eng->lane_main().
   void make_fiber(Engine* eng) {
     stack = map_stack();
     char* bottom = stack.get() + page_bytes();
-    getcontext(&uc);
-    uc.uc_stack.ss_sp = bottom;
-    uc.uc_stack.ss_size = kStackBytes;
-    uc.uc_link = nullptr;
-    const auto e = reinterpret_cast<std::uintptr_t>(eng);
-    makecontext(&uc, reinterpret_cast<void (*)()>(&entry), 2,
-                static_cast<unsigned>(std::uint64_t{e} >> 32),
-                static_cast<unsigned>(e));
+    sp = first_frame(bottom + kStackBytes, &entry, eng);
 #ifdef __SANITIZE_ADDRESS__
     asan_bottom = bottom;
     asan_size = kStackBytes;
 #endif
   }
 
-  /// makecontext passes only int arguments: the engine arrives in halves.
-  static void entry(unsigned hi, unsigned lo) {
-    const std::uint64_t e = (std::uint64_t{hi} << 32) | lo;
-    reinterpret_cast<Engine*>(static_cast<std::uintptr_t>(e))->lane_main();
-  }
+  static void entry(Engine* eng) { eng->lane_main(); }
 };
 
 Engine::Engine(int nranks) : ranks_(static_cast<std::size_t>(nranks)) {
@@ -226,7 +323,8 @@ void Engine::join_track(RankId r, TrackId t) {
   });
 }
 
-Engine::Candidate Engine::scan(const RankState& rk) {
+Engine::Candidate Engine::scan(const RankState& rk,
+                               std::uint64_t& predicate_calls) {
   // Candidate = every runnable lane at its clock, plus every blocked lane
   // whose predicate is ready, at max(clock, ready time). The track-minor
   // scan with a strictly-less compare keeps the lowest track on a tie.
@@ -239,6 +337,7 @@ Engine::Candidate Engine::scan(const RankState& rk) {
     if (ts.state == State::Runnable) {
       t = ts.time;
     } else if (ts.state == State::Blocked) {
+      ++predicate_calls;
       if (const auto ready = (*ts.pred)()) t = std::max(ts.time, *ready);
     }
     if (t && *t < c.time) {
@@ -253,6 +352,7 @@ Engine::Candidate Engine::scan(const RankState& rk) {
 // A predicate or the sampler that throws ends the run with its error, as
 // a throwing lane does.
 Engine::TrackState* Engine::schedule_next() noexcept try {
+  ++stats_.decisions;
   if (aborted_) return nullptr;
 
   // The lane handing over the turn may have changed anything its rank's
@@ -272,13 +372,14 @@ Engine::TrackState* Engine::schedule_next() noexcept try {
     RankState& rk = ranks_[r];
 #ifndef NDEBUG
     // Audit the wake contract: rescanning a clean rank changes nothing.
+    std::uint64_t uncounted = 0;
     if (!rk.dirty)
-      IBP_CHECK(scan(rk) == rk.cand,
+      IBP_CHECK(scan(rk, uncounted) == rk.cand,
                 "rank " << r << " has a stale scheduling candidate: state "
                 "its blocked predicates read changed without a wake");
 #endif
     if (rk.dirty) {
-      rk.cand = scan(rk);
+      rk.cand = scan(rk, stats_.predicate_calls);
       rk.dirty = false;
     }
     any_unfinished = any_unfinished || rk.cand.unfinished;
@@ -349,6 +450,7 @@ void Engine::yield_turn(TrackState& self) {
 void Engine::switch_to(TrackState& to) {
   TrackState& from = *running_;
   running_ = &to;
+  ++stats_.switches;
 #ifdef __SANITIZE_ADDRESS__
   // A finished lane never resumes. Clear the redzones of the frames it
   // leaves on its stack, which a later mapping may reuse, and pass no
@@ -359,7 +461,7 @@ void Engine::switch_to(TrackState& to) {
   __sanitizer_start_switch_fiber(exiting ? nullptr : &fake_stack,
                                  to.asan_bottom, to.asan_size);
 #endif
-  swapcontext(&from.uc, &to.uc);
+  ibp_sim_switch(&from.sp, to.sp);
 #ifdef __SANITIZE_ADDRESS__
   __sanitizer_finish_switch_fiber(fake_stack, nullptr, nullptr);
 #endif

@@ -28,6 +28,17 @@
 // is resumed into an unwind, so the destructors on its stack run, and
 // run() rethrows the error.
 //
+// Lane switch. A switch is a short x86-64 routine (engine.cpp) that saves
+// the psABI's callee-saved state (rbx, rbp, r12-r15, MXCSR and the x87
+// control word) on the running stack and restores it from the target's;
+// it makes no system call. Each lane keeps its own floating-point control
+// state, as with glibc's swapcontext. Unlike swapcontext, on purpose:
+//  - lanes share the thread's signal mask (swapcontext kept one per lane
+//    at the cost of a system call per switch);
+//  - the switch keeps no CET shadow stack, which glibc enables only when
+//    a tunable asks for it;
+//  - only x86-64 builds; other architectures stop at an #error.
+//
 // Wake contract. Each rank caches its scheduling candidate (its earliest
 // runnable or ready lane) and the scheduler re-runs a blocked lane's
 // predicate only when the lane's rank is dirty. A rank turns dirty when
@@ -42,6 +53,7 @@
 // surfaces as a deadlock error or a changed schedule.
 
 #include <algorithm>
+#include <cstdint>
 #include <exception>
 #include <functional>
 #include <limits>
@@ -169,6 +181,15 @@ class Engine {
     return Waker(&ranks_[static_cast<std::size_t>(r)].dirty);
   }
 
+  /// Host-side work the scheduler has done so far. The Debug audit's
+  /// rescans are not counted, so every build type reads the same numbers.
+  struct Stats {
+    std::uint64_t decisions = 0;        // schedule_next() calls
+    std::uint64_t switches = 0;         // stack switches, to and from run()
+    std::uint64_t predicate_calls = 0;  // blocked predicates run by scans
+  };
+  Stats stats() const { return stats_; }
+
   /// Install a virtual-time sampler: `fn(t)` fires whenever the global
   /// time frontier (the smallest virtual time any unfinished lane can
   /// still act at) crosses a multiple of `period`. The callback runs in
@@ -227,8 +248,9 @@ class Engine {
   /// executing (`what` names the call for the error).
   TrackState& running_lane(RankId r, const char* what);
 
-  /// Evaluate rank `rk`'s lanes (running its blocked predicates).
-  static Candidate scan(const RankState& rk);
+  /// Evaluate rank `rk`'s lanes, running its blocked predicates and
+  /// adding their number to `predicate_calls`.
+  static Candidate scan(const RankState& rk, std::uint64_t& predicate_calls);
 
   /// Pick the next lane and commit the choice; null when the run is over
   /// (every lane finished, or aborted).
@@ -254,6 +276,7 @@ class Engine {
   TrackState* running_ = nullptr;  // the lane executing now, or host_
   std::exception_ptr error_;
   bool aborted_ = false;
+  Stats stats_;
 
   TimePs sample_period_ = 0;
   std::function<void(TimePs)> sampler_;

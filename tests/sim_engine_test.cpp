@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cfenv>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <deque>
 #include <optional>
 #include <string>
@@ -467,6 +470,87 @@ TEST(Engine, SleepUntil) {
     EXPECT_EQ(ctx.now(), us(5));
   });
 }
+
+TEST(Engine, StatsCountDecisionsSwitchesAndPredicateCalls) {
+  {
+    // Run, three advances and the finish each decide. A lane still at the
+    // front keeps running, so the only switches are into it and back.
+    Engine eng(1);
+    eng.run([](Context& ctx) {
+      for (int i = 0; i < 3; ++i) ctx.advance(ns(1));
+    });
+    const Engine::Stats s = eng.stats();
+    EXPECT_EQ(s.decisions, 5u);
+    EXPECT_EQ(s.switches, 2u);
+    EXPECT_EQ(s.predicate_calls, 0u);
+  }
+  {
+    // Rank 0 blocks (predicate call 1) and hands over to rank 1, which
+    // sets the flag at 10 ns and wakes rank 0 (call 2, ready) as it
+    // finishes; rank 0 resumes, finishes, and the run returns.
+    Engine eng(2);
+    bool set = false;
+    eng.run([&set](Context& ctx) {
+      if (ctx.rank() == 0) {
+        ctx.wait_until([&set]() -> std::optional<TimePs> {
+          if (!set) return std::nullopt;
+          return ns(10);
+        });
+        EXPECT_EQ(ctx.now(), ns(10));
+      } else {
+        ctx.advance(ns(10));
+        set = true;
+        ctx.wake(0);
+      }
+    });
+    const Engine::Stats s = eng.stats();
+    EXPECT_EQ(s.decisions, 5u);
+    EXPECT_EQ(s.switches, 4u);
+    EXPECT_EQ(s.predicate_calls, 2u);
+  }
+}
+
+TEST(Engine, LanesKeepTheirOwnRoundingMode) {
+  // Rank 0 rounds upward; rank 1, which interleaves with it, and the host
+  // keep rounding to nearest.
+  Engine eng(2);
+  eng.run([](Context& ctx) {
+    const int mode = ctx.rank() == 0 ? FE_UPWARD : FE_TONEAREST;
+    if (ctx.rank() == 0) std::fesetround(FE_UPWARD);
+    for (int i = 0; i < 4; ++i) {
+      ctx.advance(ns(1));
+      EXPECT_EQ(std::fegetround(), mode)
+          << "rank " << ctx.rank() << ", step " << i;
+    }
+  });
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+}
+
+#ifdef __SANITIZE_ADDRESS__
+TEST(EngineDeathTest, AsanSeesOverflowInASuspendedLaneFrame) {
+  // The child keeps `local` on the lane's own stack (no fake stack), where
+  // the frame's redzones must survive the switches that suspend it.
+  setenv("ASAN_OPTIONS", "detect_leaks=0:detect_stack_use_after_return=0",
+         1);
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        Engine eng(2);
+        eng.run([](Context& ctx) {
+          char local[16];
+          std::memset(local, 0, sizeof local);
+          ctx.advance(ns(1));
+          ctx.advance(ns(1));
+          if (ctx.rank() == 1) {
+            // Out of UBSan's sight: only ASan's shadow can catch it.
+            char* volatile p = local;
+            p[sizeof local] = 1;
+          }
+        });
+      },
+      "stack-buffer-overflow");
+}
+#endif
 
 }  // namespace
 }  // namespace ibp::sim
