@@ -127,9 +127,6 @@ Cluster::Cluster(ClusterConfig cfg)
 
   for (int a = 0; a < nranks; ++a) {
     RankState& ra = *ranks_[static_cast<std::size_t>(a)];
-    // Peers push into (and cancel from) a rank's CQs on their own lanes.
-    ra.send_cq.set_waker(engine_.waker(a));
-    ra.recv_cq.set_waker(engine_.waker(a));
     ra.qp_to.assign(static_cast<std::size_t>(nranks), nullptr);
     ra.shm_out.assign(static_cast<std::size_t>(nranks), nullptr);
     ra.shm_in.assign(static_cast<std::size_t>(nranks), nullptr);
@@ -141,8 +138,6 @@ Cluster::Cluster(ClusterConfig cfg)
       if (ra.node == rb.node) {
         shm_[a][b] = std::make_unique<ShmChannel>(shm_cfg);
         shm_[b][a] = std::make_unique<ShmChannel>(shm_cfg);
-        shm_[a][b]->set_waker(engine_.waker(b));
-        shm_[b][a]->set_waker(engine_.waker(a));
         ra.shm_out[static_cast<std::size_t>(b)] = shm_[a][b].get();
         rb.shm_in[static_cast<std::size_t>(a)] = shm_[a][b].get();
         rb.shm_out[static_cast<std::size_t>(a)] = shm_[b][a].get();

@@ -3,7 +3,8 @@
 // Intra-node shared-memory transport (MVAPICH-style): ranks on the same
 // node exchange messages through a copy-in/copy-out channel instead of the
 // HCA. One ShmChannel carries one direction of one rank pair. The sender
-// pushes on its own lane, so push fires the receiving rank's waker.
+// pushes on its own lane and the receiver pops on its own; lanes that
+// wait for a message name waker(), and both mutations fire it.
 
 #include <cstdint>
 #include <deque>
@@ -29,8 +30,8 @@ class ShmChannel {
  public:
   explicit ShmChannel(ShmConfig cfg) : cfg_(cfg) {}
 
-  /// Wake `w`'s rank on every push (the receiving rank).
-  void set_waker(Waker w) { waker_ = w; }
+  /// Fires after every push and pop.
+  Waker& waker() { return waker_; }
 
   /// Sender-side: enqueue `data` at time `now`; returns the sender's copy
   /// cost (copy-in to the shared segment).
@@ -55,6 +56,7 @@ class ShmChannel {
     if (q_.empty() || q_.front().avail > now) return std::nullopt;
     ShmMsg m = std::move(q_.front());
     q_.pop_front();
+    waker_.wake();
     return m;
   }
 

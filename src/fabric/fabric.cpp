@@ -172,6 +172,10 @@ FabricClient::FabricClient(mpi::Comm& comm, std::vector<int> servers,
   links_.reserve(servers_.size());
   for (int s : servers_)
     links_.push_back(std::make_unique<rpc::RpcClient>(comm, s, cfg_.rpc));
+  const std::span<Waker* const> request = comm.request_wakers();
+  block_wakers_.assign(request.begin(), request.end());
+  for (const auto& l : links_)
+    if (Waker* w = l->ring_waker()) block_wakers_.push_back(w);
   register_metrics();
 }
 
@@ -682,7 +686,7 @@ bool FabricClient::reroute_segment(std::uint64_t fid, std::uint16_t seg) {
 
 void FabricClient::failover_block() {
   for (auto& l : links_) l->flush();
-  comm_->env().sim().wait_until([this]() -> std::optional<TimePs> {
+  const auto ready = [this]() -> std::optional<TimePs> {
     std::optional<TimePs> best;
     const auto upd = [&best](std::optional<TimePs> t) {
       if (t && (!best || *t < *best)) best = t;
@@ -698,7 +702,8 @@ void FabricClient::failover_block() {
       for (TimePs p : next_probe_)
         if (p != 0) upd(p);
     return best;
-  });
+  };
+  comm_->env().sim().wait("fabric failover", block_wakers_, ready);
   pump();
 }
 
@@ -715,7 +720,7 @@ void FabricClient::block_any() {
     // so a waitany on response receives alone would sleep through them.
     // Block on the composite instead: a finished recv, a ring record
     // becoming visible, or any transport event.
-    comm_->env().sim().wait_until([this]() -> std::optional<TimePs> {
+    const auto ready = [this]() -> std::optional<TimePs> {
       std::optional<TimePs> best;
       const auto upd = [&best](std::optional<TimePs> t) {
         if (t && (!best || *t < *best)) best = t;
@@ -727,7 +732,8 @@ void FabricClient::block_any() {
       }
       upd(comm_->earliest_event_time());
       return best;
-    });
+    };
+    comm_->env().sim().wait("fabric any link", block_wakers_, ready);
     pump();
     return;
   }

@@ -43,6 +43,7 @@
 
 #include "ibp/common/stats.hpp"
 #include "ibp/common/types.hpp"
+#include "ibp/common/waker.hpp"
 #include "ibp/rpc/rpc.hpp"
 
 namespace ibp::fabric {
@@ -353,6 +354,10 @@ class FabricClient {
   telemetry::RequestTracer* hub_ = nullptr;
   ShardMap map_;
   std::vector<std::unique_ptr<rpc::RpcClient>> links_;
+  /// What the blocking steps name: the transport's request Wakers
+  /// (response receives; the rank's activity also covers deadlines and
+  /// probe times) and every link's response ring's.
+  std::vector<Waker*> block_wakers_;
   std::map<std::pair<std::uint32_t, std::uint64_t>, SubKey> sub_;  // by
                                                                    // (link,
                                                                    // rpc id)

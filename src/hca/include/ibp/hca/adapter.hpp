@@ -52,8 +52,8 @@ class Adapter;
 /// exhausted) copies nothing and records nothing, so replaying the same
 /// record at the same ring offset is idempotent.
 ///
-/// Events are pushed by the *writing* rank's lane, so push fires the
-/// waker of the rank that polls this monitor.
+/// Events are pushed by the *writing* rank's lane; lanes that poll the
+/// monitor name waker() in their waits, and every push and take fires it.
 class WriteMonitor {
  public:
   struct Event {
@@ -64,8 +64,8 @@ class WriteMonitor {
     TimePs visible_at = 0;  // transfer's virtual arrival at this adapter
   };
 
-  /// Wake `w`'s rank on every push (the rank polling this monitor).
-  void set_waker(Waker w) { waker_ = w; }
+  /// Fires after every push and every take that removes events.
+  Waker& waker() { return waker_; }
 
   /// Record one completed inbound write (insertion keeps visibility
   /// order; a single writer produces monotone arrivals already).
@@ -90,6 +90,7 @@ class WriteMonitor {
       out.push_back(events_.front());
       events_.pop_front();
     }
+    if (!out.empty()) waker_.wake();
     return out;
   }
 

@@ -6,10 +6,11 @@
 // that polling at virtual time `now` returns completions in the order the
 // hardware would have made them visible.
 //
-// Another rank's lane pushes into this queue (a peer's send lands in this
-// rank's receive CQ) and cancels from it (an RNR rescue withdraws a
-// sender's provisional error CQE), so both fire the owning rank's waker:
-// the engine then re-runs that rank's blocked poll predicates.
+// Lanes block on a CQ by naming waker() in their waits. Every mutation
+// fires it: a peer's lane pushes (a send lands in this rank's receive
+// CQ) and cancels (an RNR rescue withdraws a sender's provisional error
+// CQE), and a poll pops — under a shared CQ the pop of one worker track
+// can leave a sibling that waits on the same CQ with nothing to take.
 
 #include <cstdint>
 #include <deque>
@@ -24,8 +25,8 @@ namespace ibp::hca {
 
 class CompletionQueue {
  public:
-  /// Wake `w`'s rank on every push and cancel (the rank polling this CQ).
-  void set_waker(Waker w) { waker_ = w; }
+  /// Fires after every push, pop and cancel.
+  Waker& waker() { return waker_; }
 
   /// Insert keeping ready_time order (stable for equal times).
   void push(Cqe cqe) {
@@ -46,6 +47,7 @@ class CompletionQueue {
       return std::nullopt;
     Cqe c = entries_.front();
     entries_.pop_front();
+    waker_.wake();
     return c;
   }
 

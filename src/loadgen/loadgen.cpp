@@ -7,6 +7,7 @@
 
 #include "ibp/common/check.hpp"
 #include "ibp/common/rng.hpp"
+#include "ibp/common/waker.hpp"
 #include "ibp/core/cluster.hpp"
 
 namespace ibp::loadgen {
@@ -250,7 +251,15 @@ GenResult closed_loop_tracked(rpc::RpcClient& client, const Workload& w,
 
   const TimePs start = env.now();
   std::uint32_t live = 0;
-  TimePs worker_event = 0;  // earliest unacknowledged submit/finish signal
+  // Earliest unacknowledged submit/finish signal; reset only by the poll
+  // loop, its one waiter, while it runs.
+  TimePs worker_event = 0;
+  Waker worker_signal;
+  const auto signal = [&] {
+    if (worker_event != 0) return;
+    worker_event = env.now();
+    worker_signal.wake();
+  };
 
   const auto worker_fn = [&](std::uint32_t wk, sim::Context& wsc) {
     while (budget[wk] > 0) {
@@ -273,16 +282,17 @@ GenResult closed_loop_tracked(rpc::RpcClient& client, const Workload& w,
         continue;
       }
       --budget[wk];
-      if (worker_event == 0) worker_event = env.now();
-      wsc.wait_until([&client, id, t0]() -> std::optional<TimePs> {
-        const rpc::Completion* c = client.find_completion(id);
-        if (c == nullptr) return std::nullopt;
-        return t0 + c->latency;
-      });
+      signal();
+      wsc.wait("loadgen worker", {&client.completion_waker()},
+               [&client, id, t0]() -> std::optional<TimePs> {
+                 const rpc::Completion* c = client.find_completion(id);
+                 if (c == nullptr) return std::nullopt;
+                 return t0 + c->latency;
+               });
       if (cfg.think > 0) wsc.advance(cfg.think);
     }
     --live;
-    if (worker_event == 0) worker_event = env.now();
+    signal();
   };
 
   std::vector<sim::TrackId> tracks;
@@ -304,7 +314,7 @@ GenResult closed_loop_tracked(rpc::RpcClient& client, const Workload& w,
       client.wait_some();
       continue;
     }
-    sc.wait_until([&]() -> std::optional<TimePs> {
+    sc.wait("loadgen poll", {&worker_signal}, [&]() -> std::optional<TimePs> {
       if (worker_event != 0) return worker_event;
       return std::nullopt;
     });

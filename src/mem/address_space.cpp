@@ -1,6 +1,13 @@
 #include "ibp/mem/address_space.hpp"
 
+#include <sys/mman.h>
+
+#include <cerrno>
+#include <cstring>
+
 namespace ibp::mem {
+
+void HostUnmap::operator()(std::uint8_t* p) const { munmap(p, bytes); }
 
 AddressSpace::~AddressSpace() {
   // Return frames; pins are intentionally not enforced at teardown so a
@@ -29,9 +36,16 @@ Mapping& AddressSpace::map(std::uint64_t length, PageKind kind) {
   m->length = rounded;
   m->kind = kind;
   m->pins.assign(npages, 0);
-  m->backing.reset(static_cast<std::uint8_t*>(std::calloc(rounded, 1)));
-  IBP_CHECK(m->backing != nullptr,
-            "no host memory to back a " << rounded << "-byte mapping");
+  // Not calloc: once glibc's dynamic mmap threshold has risen past a
+  // size, calloc serves it from the heap and clears, so commits, every
+  // page of a reused chunk, and peak RSS grows with the number of
+  // clusters a process has built.
+  void* host = mmap(nullptr, rounded, PROT_READ | PROT_WRITE,
+                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  IBP_CHECK(host != MAP_FAILED, "no host memory to back a "
+                                    << rounded << "-byte mapping: "
+                                    << std::strerror(errno));
+  m->backing = {static_cast<std::uint8_t*>(host), HostUnmap{rounded}};
 
   if (kind == PageKind::Small) {
     m->va_base = next_small_;

@@ -6,13 +6,14 @@
 // size. Host backing for each mapping is a single contiguous allocation so
 // workloads get real pointers for computation, while the translation model
 // (page tables, pinning, NIC translations) operates on the simulated
-// frames. The backing is zeroed on demand (calloc), so host pages a run
-// never touches cost no host memory. Small and huge mappings live in
+// frames. The backing is an anonymous host mapping of its own, zeroed on
+// demand, so host pages a run never touches cost no host memory and
+// unmapping returns the rest. Small and huge mappings live in
 // disjoint virtual regions so a bare virtual address identifies its page
 // size.
 
+#include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <span>
@@ -35,8 +36,10 @@ constexpr std::uint64_t page_size_of(PageKind k) {
 inline constexpr VirtAddr kSmallRegionBase = 0x0000'1000'0000'0000ull;
 inline constexpr VirtAddr kHugeRegionBase = 0x0000'2000'0000'0000ull;
 
-struct FreeDeleter {
-  void operator()(void* p) const { std::free(p); }
+/// Unmaps a mapping's host backing.
+struct HostUnmap {
+  std::size_t bytes = 0;
+  void operator()(std::uint8_t* p) const;
 };
 
 struct Mapping {
@@ -45,8 +48,8 @@ struct Mapping {
   PageKind kind = PageKind::Small;
   std::vector<PhysAddr> frames;      // one per page
   std::vector<std::uint32_t> pins;   // pin count per page
-  // Host data, contiguous, `length` bytes; calloc'd, so zeroed on demand.
-  std::unique_ptr<std::uint8_t[], FreeDeleter> backing;
+  // Host data, contiguous, `length` bytes, zeroed on demand.
+  std::unique_ptr<std::uint8_t[], HostUnmap> backing;
 
   std::uint64_t page_size() const { return page_size_of(kind); }
   std::uint64_t npages() const { return frames.size(); }

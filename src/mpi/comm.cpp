@@ -69,7 +69,18 @@ Comm::Comm(core::RankEnv& env, CommConfig cfg) : env_(&env), cfg_(cfg) {
 
   register_metrics();
 
+  collect_wakers();
   if (cfg_.rdma_eager && !ib_peers_.empty()) setup_rings();
+}
+
+void Comm::collect_wakers() {
+  core::RankState& st = env_->state();
+  wakers_ = {&st.send_cq.waker(), &st.recv_cq.waker()};
+  for (core::ShmChannel* ch : st.shm_in)
+    if (ch != nullptr) wakers_.push_back(&ch->waker());
+  for (const auto& rx : ring_rx_) wakers_.push_back(&rx->waker());
+  for (const auto& tx : ring_tx_) wakers_.push_back(&tx->credit_waker());
+  wakers_.push_back(&env_->sim().rank_activity());
 }
 
 void Comm::setup_rings() {
@@ -81,6 +92,7 @@ void Comm::setup_rings() {
     ring_tx_.push_back(
         std::make_unique<ringchan::RingSender>(*env_, cfg_.ring));
   }
+  collect_wakers();
   // Descriptor handshake: swap ChannelHello blobs with every IB peer
   // over the two-sided eager path (the rings are unusable — and
   // try_ring_send declines — until both halves are connected).
@@ -224,12 +236,13 @@ int Comm::take_send_slot() {
       free_send_slots_.pop_back();
       return s;
     }
-    env_->sim().wait_until([this]() -> std::optional<TimePs> {
+    const auto ready = [this]() -> std::optional<TimePs> {
       // A slot freed by another track's progress is ready at the time
       // its send CQE was drained (the freeing event itself is gone).
       if (!free_send_slots_.empty()) return send_slot_free_t_;
       return earliest_event();
-    });
+    };
+    env_->sim().wait("mpi send slot", request_wakers(), ready);
     progress_once();
   }
 }
@@ -610,10 +623,11 @@ void Comm::wait(const Req& r) {
     // Multi-track rank: another track's progress may complete `r` while
     // this one is blocked — the completing event is then already drained,
     // so wait for done() itself, resuming at the recorded completion time.
-    env_->sim().wait_until([this, &r]() -> std::optional<TimePs> {
+    const auto ready = [this, &r]() -> std::optional<TimePs> {
       if (r->done()) return r->done_at;
       return earliest_event();
-    });
+    };
+    env_->sim().wait("mpi wait", request_wakers(), ready);
     progress_once();
   }
 }
@@ -659,13 +673,14 @@ std::size_t Comm::waitany(std::span<const Req> rs) {
     progress_once();
     for (std::size_t i = 0; i < rs.size(); ++i)
       if (rs[i]->done()) return i;
-    env_->sim().wait_until([this, rs]() -> std::optional<TimePs> {
+    const auto ready = [this, rs]() -> std::optional<TimePs> {
       std::optional<TimePs> best;
       for (const Req& r : rs)
         if (r->done() && (!best || r->done_at < *best)) best = r->done_at;
       if (best) return best;  // completed by another track's progress
       return earliest_event();
-    });
+    };
+    env_->sim().wait("mpi waitany", request_wakers(), ready);
     progress_once();
   }
 }
@@ -759,11 +774,6 @@ std::optional<TimePs> Comm::earliest_event() const {
   for (const auto& rx : ring_rx_) consider(rx->next_visible());
   for (const auto& tx : ring_tx_) consider(tx->next_credit_visible());
   return best;
-}
-
-void Comm::progress_block() {
-  env_->sim().wait_until([this] { return earliest_event(); });
-  progress_once();
 }
 
 void Comm::progress_once() {

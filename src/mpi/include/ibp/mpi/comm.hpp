@@ -26,6 +26,7 @@
 
 #include "ibp/common/check.hpp"
 #include "ibp/common/types.hpp"
+#include "ibp/common/waker.hpp"
 #include "ibp/core/cluster.hpp"
 #include "ibp/mpi/datatype.hpp"
 #include "ibp/mpi/message.hpp"
@@ -246,8 +247,9 @@ class Comm {
 
   // Progress engine.
   void progress_once();
-  void progress_block();
   std::optional<TimePs> earliest_event() const;
+  /// Refill wakers_ after the event sources change (rings set up).
+  void collect_wakers();
 
   // One-sided ring channels (cfg.rdma_eager).
   void setup_rings();
@@ -263,12 +265,19 @@ class Comm {
  public:
   /// Earliest virtual time at which an unconsumed transport event (ready
   /// CQE, shm arrival) exists, or nullopt. Side-effect free, so callers
-  /// can compose it into sim wait_until predicates together with their
+  /// can compose it into sim wait ready functions together with their
   /// own conditions (e.g. an RPC dispatcher sleeping for "next request
-  /// batch OR a worker hand-off").
+  /// batch OR a worker hand-off"); such a wait names request_wakers().
   std::optional<TimePs> earliest_event_time() const {
     return earliest_event();
   }
+
+  /// What a wait on this Comm's events and requests names: the Waker of
+  /// every source earliest_event_time() reads, and the rank's activity.
+  /// Another track's progress completes a request only after the poll
+  /// that popped its event has yielded, so no event source fires at the
+  /// completion itself.
+  std::span<Waker* const> request_wakers() const { return wakers_; }
 
   /// Post a one-sided work request on the RC QP to `peer` under this
   /// Comm's send-CQE bookkeeping: the WR is stored for Repost-policy
@@ -385,6 +394,7 @@ class Comm {
   std::vector<std::unique_ptr<ringchan::RingSender>> ring_tx_;
   bool ring_polling_ = false;  // reentrancy guard (progress re-entered
                                // from a handler keeps release order)
+  std::vector<Waker*> wakers_;  // request_wakers()
 
   // Matching.
   std::deque<Req> posted_;

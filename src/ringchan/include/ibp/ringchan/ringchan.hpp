@@ -126,8 +126,10 @@ class RingReceiver {
   /// release(); records must be released oldest-first.
   void poll(TimePs now, std::vector<Record>& out);
 
-  /// Earliest pending arrival, for the owner's blocking-wait predicate.
+  /// Earliest pending arrival, for the owner's blocking-wait ready
+  /// function; a wait that reads it names waker().
   std::optional<TimePs> next_visible() const { return mon_.next_visible(); }
+  Waker& waker() { return mon_.waker(); }
 
   /// Done with the oldest un-released record: its slab footprint (plus
   /// any preceding wrap dead space) becomes creditable.
@@ -205,9 +207,12 @@ class RingSender {
 
   /// Sweep newly visible credit writes and refresh the credit counter.
   void poll_credit(TimePs now);
+  /// Earliest pending credit write; a wait that reads it names
+  /// credit_waker().
   std::optional<TimePs> next_credit_visible() const {
     return mon_.next_visible();
   }
+  Waker& credit_waker() { return mon_.waker(); }
 
   std::uint64_t head() const { return head_; }
   std::uint64_t credit() const { return credit_seen_; }

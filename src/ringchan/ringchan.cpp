@@ -37,7 +37,6 @@ RingReceiver::RingReceiver(core::RankEnv& env, const RingConfig& cfg)
   check_config(cfg_);
   slab_ = env.alloc(cfg_.slab_bytes, placement::Role::RingSlab);
   mr_ = env.verbs().reg_mr(slab_, cfg_.slab_bytes);
-  mon_.set_waker(env.sim().waker());  // the sender's writes wake this rank
   env.verbs().set_write_monitor(mr_, &mon_);
   const mem::Mapping* m = env.space().find(slab_, cfg_.slab_bytes);
   if (m != nullptr) backing_ = m->kind;
@@ -130,7 +129,6 @@ RingSender::RingSender(core::RankEnv& env, const RingConfig& cfg)
   staging_mr_ = env.verbs().reg_mr(staging_, cfg_.slab_bytes);
   word_ = env.alloc(8, placement::Role::RingSlot);
   word_mr_ = env.verbs().reg_mr(word_, 8);
-  mon_.set_waker(env.sim().waker());  // the receiver's credit writes wake us
   env.verbs().set_write_monitor(word_mr_, &mon_);
   *env.host_ptr<std::uint64_t>(word_) = 0;
 }

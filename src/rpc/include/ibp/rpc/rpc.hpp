@@ -38,6 +38,7 @@
 
 #include "ibp/common/stats.hpp"
 #include "ibp/common/types.hpp"
+#include "ibp/common/waker.hpp"
 #include "ibp/hca/config.hpp"
 #include "ibp/mpi/comm.hpp"
 #include "ibp/ringchan/ringchan.hpp"
@@ -283,13 +284,16 @@ class RpcClient {
   bool completed(std::uint64_t id) const { return done_.count(id) != 0; }
 
   /// Completion record for `id`, or nullptr while it is outstanding.
-  /// Non-blocking and side-effect free — usable from wait_until
-  /// predicates (tracked closed-loop workers watch their own ids while
-  /// another track runs the poll loop).
+  /// Non-blocking and side-effect free — usable from wait ready
+  /// functions (tracked closed-loop workers watch their own ids while
+  /// another track runs the poll loop), which name completion_waker().
   const Completion* find_completion(std::uint64_t id) const {
     const auto it = done_.find(id);
     return it == done_.end() ? nullptr : &it->second;
   }
+
+  /// Fires whenever a completion record appears.
+  Waker& completion_waker() { return completion_waker_; }
 
   /// Block (in virtual time) until `id` completes; returns its record.
   const Completion& wait(std::uint64_t id);
@@ -335,21 +339,26 @@ class RpcClient {
   void abandon();
 
   /// Earliest armed retransmit/expiry deadline among inflight requests,
-  /// or nullopt. Side-effect free — a multi-link caller's wait_until
-  /// predicate uses it so link timeouts fire even when no transport event
+  /// or nullopt. Side-effect free — a multi-link caller's wait ready
+  /// function uses it so link timeouts fire even when no transport event
   /// is pending (a dead server produces none).
   std::optional<TimePs> next_deadline() const;
 
   /// Whether the one-sided response ring is active on this link. A
-  /// multi-link caller must then block with a wait_until composite
+  /// multi-link caller must then block with a composite wait
   /// (response_req + next_ring_visible + transport events) instead of
   /// waitany on response_req alone: ring responses never complete a recv.
   bool ring_enabled() const { return ring_rx_ != nullptr; }
 
   /// Virtual arrival time of the earliest ring record not yet visible,
-  /// or nullopt (also when the tier is off). Side-effect free.
+  /// or nullopt (also when the tier is off). Side-effect free; a wait
+  /// that reads it names ring_waker().
   std::optional<TimePs> next_ring_visible() const {
     return ring_rx_ != nullptr ? ring_rx_->next_visible() : std::nullopt;
+  }
+  /// The response ring's Waker, or null when the tier is off.
+  Waker* ring_waker() {
+    return ring_rx_ != nullptr ? &ring_rx_->waker() : nullptr;
   }
 
  private:
@@ -384,6 +393,8 @@ class RpcClient {
 
   VirtAddr slot_va(std::uint32_t slot) const;
   void reclaim_batches();
+  /// Record a finished request for find_completion/take_completions.
+  void add_completion(Completion c);
   /// Flush queued requests while thresholds (or `force`) say so and
   /// credits allow. Latency-class requests flush ahead of bulk.
   void maybe_flush(bool force);
@@ -450,6 +461,11 @@ class RpcClient {
   /// server RDMA-writes response records in. Null when the tier is off.
   std::unique_ptr<ringchan::RingReceiver> ring_rx_;
   std::vector<ringchan::RingReceiver::Record> ring_recs_;  // poll scratch
+  Waker completion_waker_;
+  /// What the blocking ingest waits name: the transport's request Wakers
+  /// (response receives; the rank's activity also covers the deadlines)
+  /// and the response ring's.
+  std::vector<Waker*> block_wakers_;
 };
 
 class RpcServer {
@@ -593,6 +609,7 @@ class RpcServer {
   bool stopping_ = false;
   TimePs stop_time_ = 0;
   TimePs worker_event_ = 0;  // earliest un-acknowledged worker signal
+  Waker admission_;          // fires when queues_ or stopping_ change
   ServerStats stats_;
   std::vector<telemetry::ProbeHandle> probes_;
   /// Per-client ring sender halves (cfg_.rdma_response); an entry stays

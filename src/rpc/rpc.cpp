@@ -106,6 +106,9 @@ RpcClient::RpcClient(mpi::Comm& comm, int server, RpcConfig cfg)
                                     server_, kReqTag));
     free_slots_.push_back(slot);
   }
+  const std::span<Waker* const> request = comm_->request_wakers();
+  block_wakers_.assign(request.begin(), request.end());
+  if (Waker* w = ring_waker()) block_wakers_.push_back(w);
 }
 
 RpcClient::~RpcClient() {
@@ -368,9 +371,15 @@ void RpcClient::expire(std::uint64_t id) {
   inflight_.erase(it);
   ++stats_.timed_out;
   ++stats_.completed;
+  add_completion(std::move(c));
+}
+
+void RpcClient::add_completion(Completion c) {
+  const std::uint64_t id = c.id;
   auto [pos, fresh] = done_.emplace(id, std::move(c));
   IBP_CHECK(fresh, "duplicate response id");
   fresh_.push_back(&pos->second);
+  completion_waker_.wake();
 }
 
 void RpcClient::abandon() {
@@ -404,9 +413,7 @@ void RpcClient::abandon() {
       }
       ++stats_.timed_out;
       ++stats_.completed;
-      auto [pos, fresh] = done_.emplace(p.id, std::move(c));
-      IBP_CHECK(fresh, "duplicate response id");
-      fresh_.push_back(&pos->second);
+      add_completion(std::move(c));
     }
   }
   while (!inflight_.empty()) expire(inflight_.begin()->first);
@@ -461,7 +468,7 @@ bool RpcClient::try_ingest(bool blocking) {
       got = true;
     }
     if (got || !blocking) return got;
-    comm_->env().sim().wait_until([this]() -> std::optional<TimePs> {
+    const auto ready = [this]() -> std::optional<TimePs> {
       std::optional<TimePs> best;
       if (rsp_req_ != nullptr && rsp_req_->done()) best = rsp_req_->done_at;
       const std::optional<TimePs> vis = ring_rx_->next_visible();
@@ -469,7 +476,8 @@ bool RpcClient::try_ingest(bool blocking) {
       const std::optional<TimePs> ev = comm_->earliest_event_time();
       if (ev && (!best || *ev < *best)) best = ev;
       return best;
-    });
+    };
+    comm_->env().sim().wait("rpc response", block_wakers_, ready);
   }
 }
 
@@ -576,9 +584,7 @@ void RpcClient::parse_one(VirtAddr rec) {
     ++stats_.shed;
   }
   ++stats_.completed;
-  auto [pos, fresh] = done_.emplace(h.id, std::move(c));
-  IBP_CHECK(fresh, "duplicate response id");
-  fresh_.push_back(&pos->second);
+  add_completion(std::move(c));
 }
 
 void RpcClient::poll() {
@@ -596,7 +602,7 @@ void RpcClient::progress_block() {
   // deadline. Never blocks inside the transport itself, so timeouts keep
   // firing against a server that will never answer (fail_timed_out).
   ensure_rsp_posted();
-  comm_->env().sim().wait_until([this]() -> std::optional<TimePs> {
+  const auto ready = [this]() -> std::optional<TimePs> {
     std::optional<TimePs> best;
     if (rsp_req_ != nullptr && rsp_req_->done()) best = rsp_req_->done_at;
     if (ring_rx_ != nullptr) {
@@ -608,7 +614,8 @@ void RpcClient::progress_block() {
     const std::optional<TimePs> dl = next_deadline();
     if (dl && (!best || *dl < *best)) best = dl;
     return best;
-  });
+  };
+  comm_->env().sim().wait("rpc progress", block_wakers_, ready);
   while (try_ingest(false)) {
   }
 }
@@ -933,6 +940,7 @@ void RpcServer::parse_batch(std::uint32_t client, std::uint64_t len) {
       it.payload.assign(p, p + h.payload);
     }
     queues_[h.cls & 1][h.tenant].push_back(std::move(it));
+    admission_.wake();
     ++queued_;
     ++stats_.accepted;
     stats_.queue_peak = std::max(stats_.queue_peak, queued_);
@@ -966,6 +974,7 @@ bool RpcServer::pop_next(Item& out) {
     rr_cursor_[cls] = it->first + 1;
     if (it->second.empty()) qs.erase(it);
     --queued_;
+    admission_.wake();
     return true;
   }
   return false;
@@ -1322,6 +1331,7 @@ void RpcServer::serve_pooled() {
     for (std::uint32_t w = 0; w < nw; ++w) make_lane(lanes_[1 + w]);
   }
   stopping_ = false;
+  admission_.wake();
   busy_workers_ = 0;
   worker_event_ = 0;
   std::vector<sim::TrackId> tracks;
@@ -1350,7 +1360,7 @@ void RpcServer::serve_pooled() {
       reclaim_sent();
       if (open_clients_ == 0 && handoffs_.empty()) break;
     }
-    env.sim().wait_until([this]() -> std::optional<TimePs> {
+    const auto ready = [this]() -> std::optional<TimePs> {
       if (!handoffs_.empty()) return handoffs_.front().t;
       if (worker_event_ != 0) return worker_event_;
       std::optional<TimePs> best = comm_->earliest_event_time();
@@ -1363,17 +1373,21 @@ void RpcServer::serve_pooled() {
           best = r->done_at;
       }
       return best;
-    });
+    };
+    // The hand-offs and the worker signal are this rank's state, which
+    // request_wakers() covers with the rank's activity.
+    env.sim().wait("rpc dispatcher", comm_->request_wakers(), ready);
   }
   stopping_ = true;
   stop_time_ = env.now();
+  admission_.wake();
   for (sim::TrackId t : tracks) env.sim().join_track(t);
 }
 
 void RpcServer::worker_main(sim::Context& sc, std::uint32_t w) {
   RspLane& lane = worker_lane(w);
   for (;;) {
-    sc.wait_until([this]() -> std::optional<TimePs> {
+    sc.wait("rpc worker", {&admission_}, [this]() -> std::optional<TimePs> {
       if (stopping_) return stop_time_;
       return earliest_work();
     });

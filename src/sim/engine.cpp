@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
+#include <string>
 #include <utility>
 
 #ifdef __SANITIZE_ADDRESS__
@@ -168,10 +169,20 @@ void* first_frame(char* top, void (*entry)(Engine*), Engine* eng) {
 struct Engine::TrackState {
   TimePs time = 0;
   State state = State::NotStarted;
-  // The waiting caller's predicate, valid while Blocked: wait_until()'s
-  // argument outlives the wait.
-  const std::function<std::optional<TimePs>()>* pred = nullptr;
   RankId rank = 0;
+  // While Blocked: the wait's reason and ready function (wait()'s
+  // arguments outlive the wait), the cached ready time (max(clock, ready
+  // time), or nullopt while not ready) and the mark that the Wakers the
+  // wait named set to have the ready function re-run.
+  const char* reason = nullptr;
+  const Ready* ready = nullptr;
+  std::optional<TimePs> ready_at;
+  WakeMark mark;
+  // The wait's places on its Wakers' lists: grown to the longest list the
+  // lane has named, then reused, so a wait does not allocate.
+  std::unique_ptr<WaitLink[]> links;
+  std::size_t nlinks = 0;
+  Waker finished;  // fires when the lane finishes (join_track)
   RankFn fn;              // the lane's program
   Stack stack;            // null for the host; released when run() returns
   bool started = false;   // the fiber has been entered
@@ -194,14 +205,22 @@ struct Engine::TrackState {
   }
 
   static void entry(Engine* eng) { eng->lane_main(); }
+
+  /// A fresh ready time: max(clock, what the ready function reports).
+  std::optional<TimePs> evaluate() const {
+    const std::optional<TimePs> t = (*ready)();
+    if (!t) return std::nullopt;
+    return std::max(time, *t);
+  }
 };
 
 Engine::Engine(int nranks) : ranks_(static_cast<std::size_t>(nranks)) {
   IBP_CHECK(nranks > 0, "engine needs at least one rank");
   for (int r = 0; r < nranks; ++r) {
-    auto& ts = ranks_[static_cast<std::size_t>(r)].tracks.emplace_back(
-        std::make_unique<TrackState>());
+    RankState& rk = ranks_[static_cast<std::size_t>(r)];
+    auto& ts = rk.tracks.emplace_back(std::make_unique<TrackState>());
     ts->rank = r;
+    ts->mark.rank_dirty = &rk.dirty;
   }
 }
 
@@ -255,10 +274,14 @@ void Engine::run(const std::vector<RankFn>& fns) {
 
   // Back on the host: every lane finished, or the run aborted. Each lane
   // still suspended mid-program throws AbortSignal when resumed, unwinds
-  // its stack and returns here.
+  // its stack and returns here. A rank's tracks unwind newest first: a
+  // track's frames may refer to its spawner's (a server's worker tracks
+  // use the server and comm on the rank program's stack), and a track is
+  // always newer than its spawner.
   for (auto& rk : ranks_)
-    for (auto& ts : rk.tracks)
-      if (ts->started && ts->state != State::Finished) switch_to(*ts);
+    for (auto it = rk.tracks.rbegin(); it != rk.tracks.rend(); ++it)
+      if ((*it)->started && (*it)->state != State::Finished)
+        switch_to(**it);
 
   for (auto& rk : ranks_)
     for (auto& ts : rk.tracks) ts->stack.reset();
@@ -284,14 +307,31 @@ void Engine::advance_rank(RankId r, TimePs dt) {
 
 void Engine::yield_rank(RankId r) { advance_rank(r, 0); }
 
-void Engine::wait_rank(RankId r,
-                       const std::function<std::optional<TimePs>()>& pred) {
+void Engine::wait_rank(RankId r, const char* reason,
+                       std::span<Waker* const> on, Ready ready) {
   if (aborted_) return;
-  TrackState& ts = running_lane(r, "wait_until()");
+  TrackState& ts = running_lane(r, "wait()");
+  if (on.size() > ts.nlinks) {
+    ts.links = std::make_unique<WaitLink[]>(on.size());
+    ts.nlinks = on.size();
+  }
+  // Leave every list on any exit, the unwind of an aborted run included.
+  // A Waker destroyed meanwhile has detached its link already.
+  struct Detach {
+    TrackState& ts;
+    std::size_t n;
+    ~Detach() {
+      for (std::size_t i = 0; i < n; ++i) ts.links[i].detach();
+      ts.ready = nullptr;
+    }
+  } detach{ts, on.size()};
+  for (std::size_t i = 0; i < on.size(); ++i)
+    ts.links[i].attach(*on[i], ts.mark);
   ts.state = State::Blocked;
-  ts.pred = &pred;
+  ts.reason = reason;
+  ts.ready = &ready;
+  ts.mark.stale = true;
   yield_turn(ts);
-  ts.pred = nullptr;
 }
 
 TrackId Engine::spawn_track(RankId r, std::function<void(Context&)> fn) {
@@ -302,6 +342,7 @@ TrackId Engine::spawn_track(RankId r, std::function<void(Context&)> fn) {
   auto ts = std::make_unique<TrackState>();
   ts->time = parent.time;
   ts->rank = r;
+  ts->mark.rank_dirty = &rk.dirty;
   ts->fn = std::move(fn);
   ts->make_fiber(this);
   // The spawner keeps its turn; the new track first runs when the
@@ -316,29 +357,36 @@ void Engine::join_track(RankId r, TrackId t) {
   IBP_CHECK(t > 0 && t < static_cast<TrackId>(rk.tracks.size()),
             "join_track: no such spawned track");
   IBP_CHECK(t != rk.cur, "join_track: a track cannot join itself");
-  const TrackState* ts = rk.tracks[static_cast<std::size_t>(t)].get();
-  wait_rank(r, [ts]() -> std::optional<TimePs> {
+  TrackState* ts = rk.tracks[static_cast<std::size_t>(t)].get();
+  Waker* const on[] = {&ts->finished};
+  wait_rank(r, "join track", on, [ts]() -> std::optional<TimePs> {
     if (ts->state != State::Finished) return std::nullopt;
     return ts->time;
   });
 }
 
-Engine::Candidate Engine::scan(const RankState& rk,
+Engine::Candidate Engine::scan(RankState& rk,
                                std::uint64_t& predicate_calls) {
   // Candidate = every runnable lane at its clock, plus every blocked lane
-  // whose predicate is ready, at max(clock, ready time). The track-minor
-  // scan with a strictly-less compare keeps the lowest track on a tie.
+  // whose ready time is known, at that time. Only lanes a fire marked
+  // stale (or that just began waiting) re-run their ready function. The
+  // track-minor scan with a strictly-less compare keeps the lowest track
+  // on a tie.
   Candidate c;
   for (TrackId k = 0; k < static_cast<TrackId>(rk.tracks.size()); ++k) {
-    const TrackState& ts = *rk.tracks[static_cast<std::size_t>(k)];
+    TrackState& ts = *rk.tracks[static_cast<std::size_t>(k)];
     if (ts.state == State::Finished) continue;
     c.unfinished = true;
     std::optional<TimePs> t;
     if (ts.state == State::Runnable) {
       t = ts.time;
     } else if (ts.state == State::Blocked) {
-      ++predicate_calls;
-      if (const auto ready = (*ts.pred)()) t = std::max(ts.time, *ready);
+      if (ts.mark.stale) {
+        ++predicate_calls;
+        ts.mark.stale = false;
+        ts.ready_at = ts.evaluate();
+      }
+      t = ts.ready_at;
     }
     if (t && *t < c.time) {
       c.time = *t;
@@ -349,19 +397,25 @@ Engine::Candidate Engine::scan(const RankState& rk,
   return c;
 }
 
-// A predicate or the sampler that throws ends the run with its error, as
-// a throwing lane does.
+// A ready function or the sampler that throws ends the run with its
+// error, as a throwing lane does.
 Engine::TrackState* Engine::schedule_next() noexcept try {
   ++stats_.decisions;
   if (aborted_) return nullptr;
 
-  // The lane handing over the turn may have changed anything its rank's
-  // predicates read: tracks share all of the rank's state.
-  if (running_ != host_)
-    ranks_[static_cast<std::size_t>(running_->rank)].dirty = true;
+  // The lane handing over the turn changed its own clock or state, and
+  // whatever rank_activity() waits read.
+  if (running_ != host_) {
+    RankState& rk = ranks_[static_cast<std::size_t>(running_->rank)];
+    rk.dirty = true;
+    rk.activity.wake();
+  }
+#ifndef NDEBUG
+  audit_waits();
+#endif
 
-  // Rescan only dirty ranks; by the wake contract nothing a clean rank's
-  // predicates read has changed since its last scan. Choosing the global
+  // Rescan only dirty ranks; by the wait contract nothing a clean rank's
+  // lanes wait on has changed since its last scan. Choosing the global
   // minimum (time, rank, track) keeps execution in virtual-time order, so
   // no lane can later be affected by an event earlier than its clock. The
   // rank-major pass over per-rank candidates with a strictly-less compare
@@ -370,14 +424,6 @@ Engine::TrackState* Engine::schedule_next() noexcept try {
   bool any_unfinished = false;
   for (std::size_t r = 0; r < ranks_.size(); ++r) {
     RankState& rk = ranks_[r];
-#ifndef NDEBUG
-    // Audit the wake contract: rescanning a clean rank changes nothing.
-    std::uint64_t uncounted = 0;
-    if (!rk.dirty)
-      IBP_CHECK(scan(rk, uncounted) == rk.cand,
-                "rank " << r << " has a stale scheduling candidate: state "
-                "its blocked predicates read changed without a wake");
-#endif
     if (rk.dirty) {
       rk.cand = scan(rk, stats_.predicate_calls);
       rk.dirty = false;
@@ -420,19 +466,41 @@ Engine::TrackState* Engine::schedule_next() noexcept try {
   return nullptr;
 }
 
+void Engine::audit_waits() const {
+  const auto show = [](std::optional<TimePs> t) {
+    return t ? std::to_string(*t) : std::string("not ready");
+  };
+  for (std::size_t r = 0; r < ranks_.size(); ++r) {
+    const auto& tracks = ranks_[r].tracks;
+    for (std::size_t k = 0; k < tracks.size(); ++k) {
+      const TrackState& ts = *tracks[k];
+      if (ts.state != State::Blocked || ts.mark.stale) continue;
+      const std::optional<TimePs> fresh = ts.evaluate();
+      IBP_CHECK(fresh == ts.ready_at,
+                "wait audit: r" << r << ".t" << k << ' ' << ts.reason
+                << " has a stale ready time (cached " << show(ts.ready_at)
+                << ", now " << show(fresh) << "): state its ready function "
+                "reads changed without a fire of a Waker it names");
+    }
+  }
+}
+
 SimError Engine::deadlock_error() const {
   constexpr int kListed = 16;
   std::ostringstream os;
-  os << "virtual-time deadlock: every unfinished rank is blocked with no "
-        "ready predicate; unfinished lanes (rank.track@clock in ps):";
+  os << "virtual-time deadlock: every unfinished lane is blocked and not "
+        "ready; unfinished lanes (rank.track@clock in ps, wait reason):";
   int lanes = 0;
   for (std::size_t r = 0; r < ranks_.size(); ++r) {
     const auto& tracks = ranks_[r].tracks;
     for (std::size_t k = 0; k < tracks.size(); ++k) {
-      if (tracks[k]->state == State::Finished) continue;
-      if (lanes < kListed)
+      const TrackState& ts = *tracks[k];
+      if (ts.state == State::Finished) continue;
+      if (lanes < kListed) {
         os << (lanes == 0 ? " " : ", ") << 'r' << r << ".t" << k << '@'
-           << tracks[k]->time;
+           << ts.time;
+        if (ts.state == State::Blocked) os << ' ' << ts.reason;
+      }
       ++lanes;
     }
   }
@@ -494,6 +562,7 @@ void Engine::lane_main() {
     err = std::current_exception();
   }
   ts.state = State::Finished;
+  ts.finished.wake();
   if (err) abort_all(std::move(err));
   TrackState* next = schedule_next();
   switch_to(next ? *next : *host_);

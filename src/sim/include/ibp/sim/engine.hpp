@@ -6,10 +6,10 @@
 // with its own stack, on the thread that calls Engine::run(). The engine
 // admits exactly one execution lane at a time: always the runnable lane
 // with the smallest (virtual time, rank id, track id) key. Lanes consume
-// virtual time via Context::advance() and block on conditions via
-// Context::wait_until(), whose predicate reports the earliest virtual time
-// the condition holds. Each such call picks the next lane and switches to
-// it directly; a lane that is still at the front keeps running.
+// virtual time via Context::advance() and block via Context::wait(),
+// whose ready function reports the earliest virtual time the awaited
+// condition holds. Each such call picks the next lane and switches to it
+// directly; a lane that is still at the front keeps running.
 //
 // A rank may model T application threads as *tracks*: TrackId-addressed
 // virtual-time lanes spawned with Context::spawn_track() and awaited with
@@ -22,11 +22,12 @@
 //
 // Because execution is serialized in global virtual-time order, shared
 // simulation state (queues, adapters, memory) needs no locking and every
-// run is bit-reproducible. If every unfinished lane is blocked with no
-// predicate ready, the engine raises a deadlock error naming the
-// unfinished lanes. The first error aborts the run: every suspended lane
-// is resumed into an unwind, so the destructors on its stack run, and
-// run() rethrows the error.
+// run is bit-reproducible. If every unfinished lane is blocked and none
+// is ready, the engine raises a deadlock error naming the unfinished
+// lanes and their wait reasons. The first error aborts the run: every
+// suspended lane is resumed into an unwind, so the destructors on its
+// stack run (a rank's spawned tracks before the tracks that spawned
+// them), and run() rethrows the error.
 //
 // Lane switch. A switch is a short x86-64 routine (engine.cpp) that saves
 // the psABI's callee-saved state (rbx, rbp, r12-r15, MXCSR and the x87
@@ -39,26 +40,34 @@
 //    a tunable asks for it;
 //  - only x86-64 builds; other architectures stop at an #error.
 //
-// Wake contract. Each rank caches its scheduling candidate (its earliest
-// runnable or ready lane) and the scheduler re-runs a blocked lane's
-// predicate only when the lane's rank is dirty. A rank turns dirty when
-// one of its own lanes runs, so a predicate may read its own rank's state
-// freely. State that *another* rank writes must wake the watching rank:
-// its owner holds a Waker (Engine::waker, Context::waker) and fires it on
-// every such write; hand-written cross-rank state calls Context::wake.
-// In the simulator's stack the three such owners are hca::CompletionQueue,
-// hca::WriteMonitor and core::ShmChannel. Debug builds (no NDEBUG) rescan
-// every clean rank on each decision and fail the run, naming the rank,
-// when a cached candidate went stale; a missing wake in a release build
+// Wait contract. A lane blocks with ctx.wait(reason, {&waker, ...},
+// ready), naming a Waker (ibp/common/waker.hpp) for every piece of state
+// `ready` reads. The engine caches each blocked lane's ready time and
+// re-runs `ready` only after one of the named Wakers fired, so a
+// decision runs no ready function of a lane whose state is unchanged. The
+// owner of waited-on state fires its Waker on every mutation, pops
+// included: a ready function may turn un-ready only through a fire, as
+// when a sibling lane pops the completion it was ready on. The rank's
+// activity Waker (Context::rank_activity) fires whenever a lane of the
+// rank hands over the turn; a wait that reads state of its own rank with
+// no Waker of its own (a request a sibling's progress completes, a
+// deadline table) names it and is re-run after every lane of its rank
+// ran. A track's end fires the Waker join_track() waits on. Debug builds
+// (no NDEBUG) re-run every clean lane's ready function on each decision
+// and fail the run, naming r<rank>.t<track> and the wait reason, when a
+// cached ready time went stale; a missing fire in a release build
 // surfaces as a deadlock error or a changed schedule.
 
 #include <algorithm>
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <initializer_list>
 #include <limits>
 #include <memory>
 #include <optional>
+#include <span>
+#include <type_traits>
 #include <vector>
 
 #include "ibp/common/check.hpp"
@@ -72,6 +81,27 @@ class Engine;
 /// Identifies one virtual-time lane within a rank. Track 0 is the rank's
 /// main program; spawn_track() hands out 1, 2, ... in spawn order.
 using TrackId = int;
+
+/// A wait's ready function: std::nullopt while the awaited condition does
+/// not hold, else the earliest virtual time at which it holds. Held by
+/// reference: the callable stays in the waiting lane's frame for the
+/// whole wait, so a wait neither copies nor allocates it.
+class Ready {
+ public:
+  template <class F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, Ready> &&
+             std::is_invocable_v<const F&>)
+  Ready(const F& f) noexcept
+      : fn_(&f), call_([](const void* fn) -> std::optional<TimePs> {
+          return (*static_cast<const F*>(fn))();
+        }) {}
+
+  std::optional<TimePs> operator()() const { return call_(fn_); }
+
+ private:
+  const void* fn_;
+  std::optional<TimePs> (*call_)(const void*);
+};
 
 /// Per-rank handle passed to rank programs; all engine interaction goes
 /// through it. Valid only inside Engine::run(). Calls are routed to the
@@ -101,16 +131,15 @@ class Context {
   /// another lane whose clock is behind.
   void advance(TimePs dt);
 
-  /// Block until `pred` reports a ready time. The predicate returns
-  /// std::nullopt while the condition is unsatisfied and the earliest
-  /// virtual time at which it is satisfied once it is. On resumption this
-  /// track's clock is max(current, ready time). The scheduler re-evaluates
-  /// the predicate after any lane of this rank ran and after another rank
-  /// woke this one, so it must be cheap, side-effect free, and monotone
-  /// (once ready, stay ready with a non-increasing ready time). It may
-  /// read this rank's state freely; state another rank writes must wake
-  /// this rank (see the wake contract above), or the change goes unseen.
-  void wait_until(const std::function<std::optional<TimePs>()>& pred);
+  /// Block until `ready` reports a time; on resumption this track's
+  /// clock is max(current, that time). `on` names the Wakers of all the
+  /// state `ready` reads: the engine runs `ready` once when the wait
+  /// starts and again only after one of them fired (see the wait contract
+  /// above), so it must be cheap and side-effect free. `reason` (a string
+  /// literal) names the wait in deadlock and audit errors.
+  void wait(const char* reason, std::initializer_list<Waker*> on,
+            Ready ready);
+  void wait(const char* reason, std::span<Waker* const> on, Ready ready);
 
   /// Sleep until absolute virtual time `t` (no-op if already past it).
   void sleep_until(TimePs t);
@@ -129,12 +158,9 @@ class Context {
   /// caller's clock is max(its own clock, the track's final time).
   void join_track(TrackId t);
 
-  /// Waker for this rank: hand it to state owners that other ranks write.
-  Waker waker() const;
-
-  /// Mark rank `r`'s blocked predicates for re-evaluation after writing
-  /// state they read. Throws SimError for a rank outside the engine.
-  void wake(RankId r);
+  /// Fires whenever a lane of this rank hands over the turn: for waits
+  /// on same-rank state that has no Waker of its own.
+  Waker& rank_activity() const;
 
  private:
   friend class Engine;
@@ -173,20 +199,12 @@ class Engine {
     return m;
   }
 
-  /// Waker that marks rank `r` dirty (see the wake contract above).
-  /// Throws SimError for a rank outside the engine.
-  Waker waker(RankId r) {
-    IBP_CHECK(r >= 0 && r < nranks(),
-              "no rank " << r << " to wake in an engine of " << nranks());
-    return Waker(&ranks_[static_cast<std::size_t>(r)].dirty);
-  }
-
   /// Host-side work the scheduler has done so far. The Debug audit's
   /// rescans are not counted, so every build type reads the same numbers.
   struct Stats {
     std::uint64_t decisions = 0;        // schedule_next() calls
     std::uint64_t switches = 0;         // stack switches, to and from run()
-    std::uint64_t predicate_calls = 0;  // blocked predicates run by scans
+    std::uint64_t predicate_calls = 0;  // ready functions run by scans
   };
   Stats stats() const { return stats_; }
 
@@ -194,7 +212,7 @@ class Engine {
   /// time frontier (the smallest virtual time any unfinished lane can
   /// still act at) crosses a multiple of `period`. The callback runs in
   /// the scheduling gap — no lane is active — so it may safely read any
-  /// shared simulation state; it must not write state a predicate reads.
+  /// shared simulation state; it must not write state a wait reads.
   /// Deterministic: the frontier sequence is a pure function of the rank
   /// programs. Call before run(); a period of 0 (or a null fn) disables
   /// sampling.
@@ -213,14 +231,13 @@ class Engine {
   struct TrackState;
 
   /// A rank's best lane as of its last scan: the minimum (time, track)
-  /// over its runnable lanes and its blocked lanes whose predicate is
-  /// ready.
+  /// over its runnable lanes and its blocked lanes whose ready time is
+  /// known.
   struct Candidate {
     TimePs time = std::numeric_limits<TimePs>::max();
     TrackId track = -1;       // -1: no lane can run
     bool blocked = false;     // the lane waits; picking it wakes it at time
     bool unfinished = false;  // some lane of the rank has not finished
-    bool operator==(const Candidate&) const = default;
   };
 
   struct RankState {
@@ -228,18 +245,21 @@ class Engine {
     // never erased, so TrackIds stay valid for the whole run.
     std::vector<std::unique_ptr<TrackState>> tracks;
     TrackId cur = 0;  // track currently (or last) holding the rank's turn
-    // Set when the rank's state may have changed since `cand` was taken:
-    // one of its lanes ran, or another rank woke it. ranks_ never
-    // resizes, so Wakers may point at this flag for the engine's life.
+    // Set when `cand` may be out of date: one of the rank's lanes ran,
+    // or a Waker marked one of its blocked lanes stale. ranks_ never
+    // resizes, so lanes' WakeMarks may point at this flag for the
+    // engine's life.
     bool dirty = true;
     Candidate cand;
+    Waker activity;  // Context::rank_activity()
   };
 
   TimePs now_of(RankId r) const;
   TrackId track_of(RankId r) const;
   int live_tracks_of(RankId r) const;
   void advance_rank(RankId r, TimePs dt);
-  void wait_rank(RankId r, const std::function<std::optional<TimePs>()>& pred);
+  void wait_rank(RankId r, const char* reason, std::span<Waker* const> on,
+                 Ready ready);
   void yield_rank(RankId r);
   TrackId spawn_track(RankId r, std::function<void(Context&)> fn);
   void join_track(RankId r, TrackId t);
@@ -248,15 +268,20 @@ class Engine {
   /// executing (`what` names the call for the error).
   TrackState& running_lane(RankId r, const char* what);
 
-  /// Evaluate rank `rk`'s lanes, running its blocked predicates and
-  /// adding their number to `predicate_calls`.
-  static Candidate scan(const RankState& rk, std::uint64_t& predicate_calls);
+  /// Evaluate rank `rk`'s lanes, re-running the ready functions of its
+  /// stale blocked lanes and adding their number to `predicate_calls`.
+  static Candidate scan(RankState& rk, std::uint64_t& predicate_calls);
+
+  /// Debug builds: check every blocked lane that no fire marked stale
+  /// still has the ready time a fresh call of its ready function gives.
+  void audit_waits() const;
 
   /// Pick the next lane and commit the choice; null when the run is over
   /// (every lane finished, or aborted).
   TrackState* schedule_next() noexcept;
 
-  /// The deadlock error: names up to 16 unfinished lanes at their clocks.
+  /// The deadlock error: names up to 16 unfinished lanes at their clocks,
+  /// with their wait reasons.
   SimError deadlock_error() const;
 
   /// Hand the turn to schedule_next()'s choice; returns once `self` is
@@ -295,9 +320,13 @@ inline int Context::trace_lane() const {
 }
 inline TimePs Context::now() const { return eng_->now_of(rank_); }
 inline void Context::advance(TimePs dt) { eng_->advance_rank(rank_, dt); }
-inline void Context::wait_until(
-    const std::function<std::optional<TimePs>()>& pred) {
-  eng_->wait_rank(rank_, pred);
+inline void Context::wait(const char* reason,
+                          std::initializer_list<Waker*> on, Ready ready) {
+  eng_->wait_rank(rank_, reason, {on.begin(), on.size()}, ready);
+}
+inline void Context::wait(const char* reason, std::span<Waker* const> on,
+                          Ready ready) {
+  eng_->wait_rank(rank_, reason, on, ready);
 }
 inline void Context::sleep_until(TimePs t) {
   if (t > now()) advance(t - now());
@@ -307,7 +336,8 @@ inline TrackId Context::spawn_track(std::function<void(Context&)> fn) {
   return eng_->spawn_track(rank_, std::move(fn));
 }
 inline void Context::join_track(TrackId t) { eng_->join_track(rank_, t); }
-inline Waker Context::waker() const { return eng_->waker(rank_); }
-inline void Context::wake(RankId r) { eng_->waker(r).wake(); }
+inline Waker& Context::rank_activity() const {
+  return eng_->ranks_[static_cast<std::size_t>(rank_)].activity;
+}
 
 }  // namespace ibp::sim

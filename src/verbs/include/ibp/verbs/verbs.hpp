@@ -79,9 +79,6 @@ class Context {
   Context(sim::Context& sc, mem::AddressSpace& space, hca::Adapter& hca,
           DriverConfig drv = {})
       : sc_(&sc), space_(&space), hca_(&hca), drv_(drv) {
-    // Peers' QPs push into these CQs on their own lanes.
-    own_send_cq_.set_waker(sc.waker());
-    own_recv_cq_.set_waker(sc.waker());
     send_cq_p_ = &own_send_cq_;
     recv_cq_p_ = &own_recv_cq_;
   }
@@ -246,7 +243,7 @@ class Context {
     // through poll() adds the arbitration charges under contention.
     for (;;) {
       if (auto c = poll(cq)) return *c;
-      sc_->wait_until([&cq] { return cq.next_ready(); });
+      sc_->wait("verbs cq", {&cq.waker()}, [&cq] { return cq.next_ready(); });
     }
   }
 

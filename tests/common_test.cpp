@@ -9,6 +9,7 @@
 #include "ibp/common/stats.hpp"
 #include "ibp/common/table.hpp"
 #include "ibp/common/types.hpp"
+#include "ibp/common/waker.hpp"
 
 namespace ibp {
 namespace {
@@ -37,6 +38,40 @@ TEST(Types, TimeUnits) {
   EXPECT_EQ(us(1), 1000000u);
   EXPECT_EQ(ms(1), 1000000000u);
   EXPECT_DOUBLE_EQ(ps_to_us(us(3)), 3.0);
+}
+
+TEST(Waker, FiresMarkEveryWaiterUntilItLeaves) {
+  bool dirty = false;
+  WakeMark a{.stale = false, .rank_dirty = &dirty};
+  WakeMark b{.stale = false, .rank_dirty = &dirty};
+  Waker w;
+  WaitLink la, lb;
+  la.attach(w, a);
+  lb.attach(w, b);
+  w.wake();
+  EXPECT_TRUE(a.stale && b.stale && dirty);
+  a.stale = b.stale = dirty = false;
+  la.detach();
+  w.wake();
+  EXPECT_FALSE(a.stale);
+  EXPECT_TRUE(b.stale && dirty);
+}
+
+TEST(Waker, CopiesHaveNoWaitersAndDestructionDetaches) {
+  bool dirty = false;
+  WakeMark mark{.stale = false, .rank_dirty = &dirty};
+  WaitLink link;
+  {
+    Waker w;
+    link.attach(w, mark);
+    Waker copy(w);
+    copy.wake();
+    EXPECT_FALSE(mark.stale) << "the copy's waiters are its own";
+  }
+  // The Waker is gone: the link left its list, and detaching again (as
+  // an unwinding wait does) touches nothing.
+  link.detach();
+  EXPECT_FALSE(mark.stale) << "destruction detaches without marking";
 }
 
 TEST(Check, ThrowsWithMessage) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "ibp/core/shm.hpp"
+#include "wake_probe.hpp"
 
 namespace ibp::core {
 namespace {
@@ -32,14 +33,28 @@ TEST(ShmChannel, FifoOrder) {
 }
 
 TEST(ShmChannel, PushFiresTheWaker) {
-  bool dirty = false;
   ShmChannel ch(ShmConfig{2.0, ns(10)});
-  ch.set_waker(Waker(&dirty));
+  WakeProbe probe(ch.waker());
   ch.push({1, 2}, 0);
-  EXPECT_TRUE(dirty);
-  dirty = false;
+  EXPECT_TRUE(probe.fired());
   EXPECT_TRUE(ch.pop(ms(1)).has_value());
-  EXPECT_FALSE(dirty) << "the receiver's own pop needs no wake";
+  EXPECT_TRUE(probe.fired())
+      << "a pop fires too: another lane may wait on the same channel";
+}
+
+TEST(ShmChannel, EveryMutationFiresAndNoConstCallDoes) {
+  ShmChannel ch(ShmConfig{2.0, ns(10)});
+  WakeProbe probe(ch.waker());
+  ch.push({1, 2}, 0);
+  EXPECT_TRUE(probe.fired()) << "push";
+  const TimePs ready = *ch.next_ready();
+  EXPECT_EQ(ch.depth(), 1u);
+  EXPECT_GT(ch.copy_cost(64), 0u);
+  EXPECT_FALSE(probe.fired()) << "next_ready, depth and copy_cost read only";
+  EXPECT_FALSE(ch.pop(ready - 1).has_value());
+  EXPECT_FALSE(probe.fired()) << "a pop that finds nothing visible";
+  EXPECT_TRUE(ch.pop(ready).has_value());
+  EXPECT_TRUE(probe.fired()) << "pop";
 }
 
 TEST(Cluster, WiringMatchesTopology) {

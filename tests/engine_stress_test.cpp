@@ -15,12 +15,14 @@ namespace ibp::sim {
 namespace {
 
 struct Mailboxes {
-  explicit Mailboxes(int n) : q(static_cast<std::size_t>(n)) {}
+  explicit Mailboxes(int n)
+      : q(static_cast<std::size_t>(n)), arrived(static_cast<std::size_t>(n)) {}
   struct Msg {
     TimePs deliver;
     int payload;
   };
   std::vector<std::deque<Msg>> q;
+  std::vector<Waker> arrived;  // arrived[r] fires when q[r] gains a message
 };
 
 TEST(EngineStress, RandomTrafficIsDeterministicAndCausal) {
@@ -46,15 +48,16 @@ TEST(EngineStress, RandomTrafficIsDeterministicAndCausal) {
           ctx.advance(ns(rng.next_in(50, 500)));
           const int dst = (ctx.rank() + 1) % kRanks;
           mail.q[dst].push_back({ctx.now() + kLatency, sent});
-          ctx.wake(dst);
+          mail.arrived[dst].wake();
           ++sent;
         }
         if (got < kMsgsPerRank) {
           auto& inbox = mail.q[ctx.rank()];
-          ctx.wait_until([&inbox]() -> std::optional<TimePs> {
+          const auto ready = [&inbox]() -> std::optional<TimePs> {
             if (inbox.empty()) return std::nullopt;
             return inbox.front().deliver;
-          });
+          };
+          ctx.wait("inbox", {&mail.arrived[ctx.rank()]}, ready);
           const auto m = inbox.front();
           inbox.pop_front();
           EXPECT_GE(ctx.now(), m.deliver) << "delivered before its time";
@@ -85,19 +88,21 @@ TEST(EngineStress, ManyRanksBarrierChain) {
   Engine eng(kRanks);
   // Dissemination-style barrier implemented on raw shared state.
   std::vector<std::map<int, TimePs>> flags(kRanks);
+  std::vector<Waker> raised(kRanks);  // raised[r] fires when flags[r] grows
   eng.run([&](Context& ctx) {
     for (int round = 0; round < 20; ++round) {
       for (int k = 1; k < kRanks; k <<= 1) {
         const int dst = (ctx.rank() + k) % kRanks;
         const int key = round * 100 + k;
         flags[dst][key] = ctx.now() + ns(300);
-        ctx.wake(dst);
+        raised[dst].wake();
         auto& mine = flags[ctx.rank()];
-        ctx.wait_until([&mine, key]() -> std::optional<TimePs> {
+        const auto ready = [&mine, key]() -> std::optional<TimePs> {
           auto it = mine.find(key);
           if (it == mine.end()) return std::nullopt;
           return it->second;
-        });
+        };
+        ctx.wait("flag", {&raised[ctx.rank()]}, ready);
       }
       ctx.advance(ns(static_cast<std::uint64_t>(ctx.rank() + 1) * 10));
     }
@@ -109,17 +114,18 @@ TEST(EngineStress, FinishedRanksDoNotBlockOthers) {
   Engine eng(4);
   struct {
     bool flag = false;
+    Waker set;
   } shared;
   eng.run([&](Context& ctx) {
     if (ctx.rank() < 3) {
       ctx.advance(ns(10 * static_cast<std::uint64_t>(ctx.rank() + 1)));
       if (ctx.rank() == 2) {
         shared.flag = true;
-        ctx.wake(3);
+        shared.set.wake();
       }
       return;  // finish early
     }
-    ctx.wait_until([&]() -> std::optional<TimePs> {
+    ctx.wait("flag", {&shared.set}, [&]() -> std::optional<TimePs> {
       if (!shared.flag) return std::nullopt;
       return ns(30);
     });

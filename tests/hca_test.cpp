@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "ibp/hca/completion_queue.hpp"
+#include "wake_probe.hpp"
 
 namespace ibp::hca {
 namespace {
@@ -68,25 +69,61 @@ TEST(CompletionQueue, StableForEqualTimes) {
 }
 
 TEST(CompletionQueue, PushAndCancelFireTheWaker) {
-  bool dirty = false;
   CompletionQueue cq;
-  cq.set_waker(Waker(&dirty));
+  WakeProbe probe(cq.waker());
   Cqe c;
   c.wr_id = 7;
   c.status = WcStatus::RnrRetryExceeded;
   cq.push(c);
-  EXPECT_TRUE(dirty);
-  dirty = false;
+  EXPECT_TRUE(probe.fired());
   EXPECT_TRUE(cq.cancel(7, WcStatus::RnrRetryExceeded));
-  EXPECT_TRUE(dirty);
+  EXPECT_TRUE(probe.fired());
+}
+
+TEST(CompletionQueue, EveryMutationFiresAndNoConstCallDoes) {
+  // A pop fires too: a sibling track that waits on the same CQ may have
+  // been ready on the CQE this poll took.
+  CompletionQueue cq;
+  WakeProbe probe(cq.waker());
+  Cqe c;
+  c.wr_id = 1;
+  c.ready_time = ns(100);
+  cq.push(c);
+  EXPECT_TRUE(probe.fired()) << "push";
+  EXPECT_EQ(cq.next_ready(), ns(100));
+  EXPECT_EQ(cq.depth(), 1u);
+  EXPECT_FALSE(probe.fired()) << "next_ready and depth read only";
+  EXPECT_FALSE(cq.poll(ns(50)).has_value());
+  EXPECT_FALSE(cq.cancel(2, WcStatus::Success));
+  EXPECT_FALSE(probe.fired()) << "a poll or cancel that removes nothing";
+  EXPECT_TRUE(cq.poll(ns(100)).has_value());
+  EXPECT_TRUE(probe.fired()) << "poll that pops";
+  cq.push(c);
+  EXPECT_TRUE(probe.fired()) << "push";
+  EXPECT_TRUE(cq.cancel(1, WcStatus::Success));
+  EXPECT_TRUE(probe.fired()) << "cancel";
 }
 
 TEST(WriteMonitor, PushFiresTheWaker) {
-  bool dirty = false;
   WriteMonitor mon;
-  mon.set_waker(Waker(&dirty));
+  WakeProbe probe(mon.waker());
   mon.push({.addr = 64, .len = 8, .visible_at = ns(100)});
-  EXPECT_TRUE(dirty);
+  EXPECT_TRUE(probe.fired());
+}
+
+TEST(WriteMonitor, EveryMutationFiresAndNoConstCallDoes) {
+  WriteMonitor mon;
+  WakeProbe probe(mon.waker());
+  mon.push({.addr = 64, .len = 8, .visible_at = ns(100)});
+  mon.push({.addr = 72, .len = 8, .visible_at = ns(200)});
+  EXPECT_TRUE(probe.fired()) << "push";
+  EXPECT_EQ(mon.next_visible(), ns(100));
+  EXPECT_EQ(mon.pending(), 2u);
+  EXPECT_FALSE(probe.fired()) << "next_visible and pending read only";
+  EXPECT_TRUE(mon.take_visible(ns(50)).empty());
+  EXPECT_FALSE(probe.fired()) << "a take that removes nothing";
+  EXPECT_EQ(mon.take_visible(ns(100)).size(), 1u);
+  EXPECT_TRUE(probe.fired()) << "take that removes";
 }
 
 TEST(Waker, UnwiredOwnersDoNothingOnWake) {

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdlib>
+#include <fstream>
 #include <set>
 #include <vector>
 
@@ -207,6 +211,30 @@ TEST_F(AddressSpaceTest, NewMappingsReadZerosEvenOnReusedHostMemory) {
       as.unmap(m.va_base);
     }
   }
+}
+
+TEST_F(AddressSpaceTest, UnmapReturnsTheHostBacking) {
+  // Freeing a large malloc'd block raises glibc's dynamic mmap threshold;
+  // from then on malloc serves blocks up to that size from its heap and
+  // keeps them resident after free. A mapping's backing must still go
+  // back to the host when the mapping is unmapped.
+  constexpr std::uint64_t kBytes = 16 * kMiB;
+  char* volatile block = static_cast<char*>(std::malloc(kBytes + kMiB));
+  ASSERT_NE(block, nullptr);
+  block[0] = 1;
+  std::free(block);
+  const auto resident = [] {
+    std::ifstream statm("/proc/self/statm");
+    std::uint64_t size = 0, pages = 0;
+    statm >> size >> pages;
+    return pages * static_cast<std::uint64_t>(sysconf(_SC_PAGESIZE));
+  };
+  const Mapping& m = as.map(kBytes, PageKind::Small);
+  auto s = as.host_span(m.va_base, m.length);
+  std::fill(s.begin(), s.end(), 1);
+  const std::uint64_t touched = resident();
+  as.unmap(m.va_base);
+  EXPECT_LT(resident() + kBytes / 2, touched);
 }
 
 TEST_F(AddressSpaceTest, UnmapReleasesFrames) {

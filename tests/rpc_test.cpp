@@ -8,6 +8,7 @@
 #include "ibp/fault/fault.hpp"
 #include "ibp/loadgen/loadgen.hpp"
 #include "ibp/mpi/comm.hpp"
+#include "ibp/platform/platform.hpp"
 
 namespace ibp::rpc {
 namespace {
@@ -663,6 +664,92 @@ TEST(RpcWorkerPool, PerThreadQpAvoidsArbitration) {
   const PoolResult r = run_pooled(4, hca::ShareMode::PerThreadQp);
   EXPECT_EQ(r.qp_contention_ps, 0);
   EXPECT_EQ(r.cq_poll_contention, 0u);
+}
+
+struct FleetResult {
+  std::uint64_t ok = 0;
+  TimePs makespan = 0;
+  TimePs qp_contention_ps = 0;
+  std::uint64_t cq_poll_contention = 0;
+  sim::Engine::Stats engine;
+};
+
+/// One ext_thread_scale cell: rank 0 serves with a `server_workers`-track
+/// pool in `mode`; each of `clients` client ranks runs 8 tracked
+/// closed-loop workers.
+FleetResult run_fleet(std::uint32_t clients, std::uint32_t server_workers,
+                      hca::ShareMode mode, std::uint64_t requests) {
+  core::ClusterConfig cfg;
+  cfg.platform = platform::opteron_pcie_infinihost();
+  cfg.nodes = static_cast<int>(1 + clients);
+  cfg.ranks_per_node = 1;
+  core::Cluster cluster(cfg);
+  FleetResult out;
+  cluster.run([&](core::RankEnv& env) {
+    mpi::CommConfig mc;
+    mc.sge_gather = true;
+    mpi::Comm comm(env, mc);
+    RpcConfig rc;
+    rc.max_payload = 256;
+    rc.service_base = ns(200);
+    rc.service_per_byte_ps = 0;
+    rc.server_workers = server_workers;
+    rc.share_mode = mode;
+    if (env.rank() == 0) {
+      rc.batching = false;
+      std::vector<int> ranks;
+      for (std::uint32_t c = 1; c <= clients; ++c)
+        ranks.push_back(static_cast<int>(c));
+      RpcServer server(comm, ranks, rc);
+      server.serve();
+      const hca::AdapterStats& ad = env.state().node->adapter.stats();
+      out.qp_contention_ps = ad.qp_contention_ps;
+      out.cq_poll_contention = ad.cq_poll_contention;
+      return;
+    }
+    RpcClient client(comm, 0, rc);
+    loadgen::Workload w;
+    w.request_bytes = 128;
+    loadgen::ClosedLoopConfig cc;
+    cc.workers = 8;
+    cc.requests = requests / clients;
+    cc.warmup = requests / (4 * clients);
+    cc.seed = 13 + static_cast<std::uint64_t>(env.rank());
+    cc.tracked_workers = true;
+    out.ok += loadgen::run_closed_loop(client, w, cc).ok;
+    client.close();
+  });
+  out.makespan = cluster.makespan();
+  out.engine = cluster.engine().stats();
+  return out;
+}
+
+TEST(RpcWorkerPool, TrackedClosedLoopKeepsItsScheduleWithFewReadyCalls) {
+  // The host-speed shape of perfbench rpc-threads, with one client rank.
+  // Decisions and switches are pinned: precise wakes must not change the
+  // schedule. Re-running every blocked lane after each run of its rank
+  // takes 299,064 ready function calls here and typed waits 23,794; a
+  // hot wait that loses its precise Waker (the closed-loop worker's or
+  // the RPC worker's) breaks the bound.
+  const FleetResult r = run_fleet(1, 8, hca::ShareMode::PerThreadQp, 800);
+  EXPECT_EQ(r.ok, 800u);
+  EXPECT_EQ(r.makespan, 3363110517u);
+  EXPECT_EQ(r.engine.decisions, 38992u);
+  EXPECT_EQ(r.engine.switches, 19771u);
+  EXPECT_LE(r.engine.predicate_calls, 30000u);
+}
+
+TEST(RpcWorkerPool, SharedLockedFleetKeepsItsSchedule) {
+  // ext_thread_scale's shared-locked T=4 cell at full size. Its worker
+  // tracks complete the dispatcher's request receives only after the
+  // poll that popped their CQEs has yielded, so the dispatcher's wait
+  // must name the rank's activity, not only the transport's event
+  // sources; without it this cell's schedule, pinned here, changes.
+  const FleetResult r = run_fleet(4, 4, hca::ShareMode::SharedLocked, 4800);
+  EXPECT_EQ(r.ok, 4800u);
+  EXPECT_EQ(r.makespan, 41084825048u);
+  EXPECT_EQ(r.qp_contention_ps, 68745369145u);
+  EXPECT_EQ(r.cq_poll_contention, 42375u);
 }
 
 TEST(RpcWorkerPool, DeterministicAcrossRuns) {

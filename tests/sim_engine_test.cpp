@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
+#include <memory>
 #include <optional>
 #include <string>
 #include <tuple>
@@ -66,6 +67,7 @@ TEST(Engine, WaitUntilDeliversAtReadyTime) {
   struct Mailbox {
     bool full = false;
     TimePs at = 0;
+    Waker filled;
   } box;
 
   eng.run([&box](Context& ctx) {
@@ -73,9 +75,9 @@ TEST(Engine, WaitUntilDeliversAtReadyTime) {
       ctx.advance(ns(500));
       box.full = true;
       box.at = ctx.now() + ns(100);  // "arrives" 100ns later
-      ctx.wake(1);
+      box.filled.wake();
     } else {
-      ctx.wait_until([&box]() -> std::optional<TimePs> {
+      ctx.wait("mailbox", {&box.filled}, [&box]() -> std::optional<TimePs> {
         if (!box.full) return std::nullopt;
         return box.at;
       });
@@ -88,14 +90,16 @@ TEST(Engine, BlockedRankResumesNoEarlierThanItsOwnClock) {
   Engine eng(2);
   struct {
     bool ready = false;
+    Waker set;
   } flag;
   eng.run([&flag](Context& ctx) {
     if (ctx.rank() == 0) {
       ctx.advance(ns(10));
       flag.ready = true;
+      flag.set.wake();
     } else {
       ctx.advance(ns(1000));  // already far ahead
-      ctx.wait_until([&flag]() -> std::optional<TimePs> {
+      ctx.wait("flag", {&flag.set}, [&flag]() -> std::optional<TimePs> {
         if (!flag.ready) return std::nullopt;
         return ns(10);  // event happened long ago
       });
@@ -109,15 +113,19 @@ TEST(Engine, DeadlockIsDetected) {
   std::string error;
   try {
     eng.run([](Context& ctx) {
-      ctx.wait_until([]() -> std::optional<TimePs> { return std::nullopt; });
+      ctx.wait("forever", {},
+               []() -> std::optional<TimePs> { return std::nullopt; });
     });
   } catch (const SimError& e) {
     error = e.what();
   }
   EXPECT_NE(error.find("virtual-time deadlock"), std::string::npos) << error;
-  // Both blocked lanes are named with their clocks.
+  // Both blocked lanes are named with their clocks and wait reasons.
   EXPECT_NE(error.find("r0.t0@0"), std::string::npos) << error;
   EXPECT_NE(error.find("r1.t0@0"), std::string::npos) << error;
+  EXPECT_NE(error.find("r0.t0@0 forever, r1.t0@0 forever"),
+            std::string::npos)
+      << error;
 }
 
 TEST(Engine, DeadlockErrorListsAtMostSixteenLanes) {
@@ -127,31 +135,36 @@ TEST(Engine, DeadlockErrorListsAtMostSixteenLanes) {
   try {
     eng.run([](Context& ctx) {
       ctx.advance(ns(static_cast<std::uint64_t>(ctx.rank())));
-      ctx.wait_until([]() -> std::optional<TimePs> { return std::nullopt; });
+      ctx.wait("forever", {},
+               []() -> std::optional<TimePs> { return std::nullopt; });
     });
   } catch (const SimError& e) {
     error = e.what();
   }
   EXPECT_NE(error.find("r15.t0@15000"), std::string::npos) << error;
+  EXPECT_NE(error.find("r15.t0@15000 forever and 4 more"), std::string::npos)
+      << error;
   EXPECT_EQ(error.find("r16.t0"), std::string::npos) << error;
   EXPECT_NE(error.find(" and 4 more"), std::string::npos) << error;
 }
 
 TEST(Engine, MissingWakeFailsTheRun) {
-  // Rank 0 fills rank 1's mailbox without waking rank 1, then finishes.
-  // Rank 1's cached candidate (blocked, nothing ready) is now stale:
-  // Debug builds catch it in the scheduler's audit; release builds never
-  // re-run the predicate and end in a deadlock naming rank 1's lane.
+  // Rank 0 fills rank 1's mailbox without firing the mailbox's Waker,
+  // then finishes. Rank 1's cached ready time (not ready) is now stale:
+  // Debug builds catch it in the per-lane wait audit; release builds
+  // never re-run the ready function and end in a deadlock naming rank
+  // 1's lane and its wait reason.
   Engine eng(2);
   bool full = false;
+  Waker filled;  // never fired: the missing wake
   std::string error;
   try {
-    eng.run([&full](Context& ctx) {
+    eng.run([&](Context& ctx) {
       if (ctx.rank() == 0) {
         ctx.advance(ns(10));  // rank 1 blocks first
         full = true;
       } else {
-        ctx.wait_until([&full]() -> std::optional<TimePs> {
+        ctx.wait("mailbox", {&filled}, [&full]() -> std::optional<TimePs> {
           if (!full) return std::nullopt;
           return ns(10);
         });
@@ -162,45 +175,71 @@ TEST(Engine, MissingWakeFailsTheRun) {
   }
 #ifdef NDEBUG
   EXPECT_NE(error.find("virtual-time deadlock"), std::string::npos) << error;
-  EXPECT_NE(error.find("r1.t0@0"), std::string::npos) << error;
+  EXPECT_NE(error.find("r1.t0@0 mailbox"), std::string::npos) << error;
 #else
-  EXPECT_NE(error.find("rank 1 has a stale scheduling candidate"),
+  EXPECT_NE(error.find("wait audit: r1.t0 mailbox has a stale ready time"),
             std::string::npos)
       << error;
 #endif
 }
 
-TEST(Engine, ContextWakerWakesItsRank) {
-  // Rank 1 hands its waker to the mailbox it watches; rank 0 fires it.
-  Engine eng(2);
-  struct {
-    bool full = false;
-    Waker waker;
-  } box;
-  eng.run([&box](Context& ctx) {
-    if (ctx.rank() == 0) {
-      ctx.advance(ns(10));
-      box.full = true;
-      box.waker.wake();
-    } else {
-      box.waker = ctx.waker();
-      ctx.wait_until([&box]() -> std::optional<TimePs> {
-        if (!box.full) return std::nullopt;
-        return ns(10);
-      });
-      EXPECT_EQ(ctx.now(), ns(10));
+TEST(Engine, FiringOneOfEightSiblingWaitsRunsOneReadyFunction) {
+  // Eight tracks of one rank each wait on their own Waker; firing one
+  // re-runs that lane's ready function only.
+  constexpr std::size_t kTracks = 8;
+  Engine eng(1);
+  std::vector<TimePs> set_at(kTracks, 0);  // 0: not set yet
+  std::vector<Waker> wakers(kTracks);
+  std::uint64_t calls_for_one_fire = 0;
+  eng.run([&](Context& ctx) {
+    const auto set = [&](std::size_t k) {
+      set_at[k] = ctx.now();
+      wakers[k].wake();
+    };
+    std::vector<TrackId> kids;
+    for (std::size_t k = 0; k < kTracks; ++k) {
+      kids.push_back(ctx.spawn_track([&set_at, &wakers, k](Context& c) {
+        const auto ready = [&set_at, k]() -> std::optional<TimePs> {
+          if (set_at[k] == 0) return std::nullopt;
+          return set_at[k];
+        };
+        c.wait("own flag", {&wakers[k]}, ready);
+      }));
     }
+    ctx.advance(ns(1));  // every sibling blocks at 0
+    const std::uint64_t before = eng.stats().predicate_calls;
+    set(3);
+    ctx.advance(ns(1));  // track 4 resumes and finishes meanwhile
+    calls_for_one_fire = eng.stats().predicate_calls - before;
+    for (std::size_t k = 0; k < kTracks; ++k)
+      if (set_at[k] == 0) set(k);
+    for (TrackId t : kids) ctx.join_track(t);
   });
+  EXPECT_EQ(calls_for_one_fire, 1u);
 }
 
-TEST(Engine, WakeRejectsRanksOutsideTheEngine) {
+TEST(Engine, LaneWhoseWakersNeverFireIsEvaluatedOnce) {
+  // Rank 0's lane waits for a fixed time on a Waker nobody fires while
+  // a sibling track and rank 1 make a hundred decisions: its ready
+  // function runs when the wait starts and never again (the Debug
+  // audit's re-runs are not counted).
   Engine eng(2);
-  EXPECT_THROW(eng.waker(2), SimError);
-  eng.run([](Context& ctx) {
-    EXPECT_THROW(ctx.wake(-1), SimError);
-    EXPECT_THROW(ctx.wake(ctx.nranks()), SimError);
-    ctx.wake(1 - ctx.rank());
+  Waker never;
+  eng.run([&never](Context& ctx) {
+    if (ctx.rank() == 0) {
+      const TrackId t = ctx.spawn_track([](Context& c) {
+        for (int i = 0; i < 50; ++i) c.advance(ns(1));
+      });
+      ctx.wait("timer", {&never},
+               []() -> std::optional<TimePs> { return ns(100); });
+      EXPECT_EQ(ctx.now(), ns(100));
+      ctx.join_track(t);
+    } else {
+      for (int i = 0; i < 50; ++i) ctx.advance(ns(1));
+    }
   });
+  EXPECT_EQ(eng.stats().predicate_calls, 2u)
+      << "the timer wait once, and join_track once";
 }
 
 TEST(Engine, RankErrorPropagates) {
@@ -232,7 +271,8 @@ TEST(Engine, AbortUnwindsEveryBlockedLaneOnce) {
         ctx.advance(ns(10));  // the others block first
         throw SimError("rank 2 exploded");
       }
-      ctx.wait_until([]() -> std::optional<TimePs> { return std::nullopt; });
+      ctx.wait("forever", {},
+               []() -> std::optional<TimePs> { return std::nullopt; });
     });
   } catch (const SimError& e) {
     error = e.what();
@@ -240,6 +280,47 @@ TEST(Engine, AbortUnwindsEveryBlockedLaneOnce) {
   EXPECT_EQ(error, "rank 2 exploded");
   for (int r = 0; r < kRanks; ++r)
     EXPECT_EQ(destroyed[static_cast<std::size_t>(r)], 1) << "rank " << r;
+}
+
+TEST(Engine, AbortUnwindsLanesBlockedOnWakersTheUnwindDestroys) {
+  // Ranks 0 and 3 each own a heap Waker and wait on the other's; rank 1
+  // waits on both. Rank 2 throws, and run() unwinds ranks 0, 1, 3 in
+  // that order: rank 0's Waker dies while ranks 1 and 3 still wait on
+  // it, and rank 1 leaves rank 3's Waker before it dies. Under ASan a
+  // wait that touched a destroyed Waker fails the test.
+  Engine eng(4);
+  std::vector<Waker*> owned(4, nullptr);
+  std::string error;
+  try {
+    eng.run([&owned](Context& ctx) {
+      const auto me = static_cast<std::size_t>(ctx.rank());
+      std::unique_ptr<Waker> mine;
+      if (me == 0 || me == 3) {
+        mine = std::make_unique<Waker>();
+        owned[me] = mine.get();
+      }
+      ctx.advance(ns(10));  // every rank has published its Waker
+      const auto never = []() -> std::optional<TimePs> {
+        return std::nullopt;
+      };
+      switch (me) {
+        case 0:
+          ctx.wait("rank 3's waker", {owned[3]}, never);
+          break;
+        case 1:
+          ctx.wait("both wakers", {owned[0], owned[3]}, never);
+          break;
+        case 2:
+          ctx.advance(ns(10));  // the others block first
+          throw SimError("rank 2 exploded");
+        default:
+          ctx.wait("rank 0's waker", {owned[0]}, never);
+      }
+    });
+  } catch (const SimError& e) {
+    error = e.what();
+  }
+  EXPECT_EQ(error, "rank 2 exploded");
 }
 
 TEST(Engine, MessagePingPong) {
@@ -251,18 +332,21 @@ TEST(Engine, MessagePingPong) {
     int hop;
   };
   std::deque<Msg> to0, to1;
+  Waker arrived0, arrived1;  // fire when to0 / to1 gains a message
   constexpr TimePs kLatency = ns(200);
   constexpr int kHops = 10;
 
   eng.run([&](Context& ctx) {
     auto& inbox = ctx.rank() == 0 ? to0 : to1;
     auto& outbox = ctx.rank() == 0 ? to1 : to0;
+    Waker& arrived = ctx.rank() == 0 ? arrived0 : arrived1;
+    Waker& sent = ctx.rank() == 0 ? arrived1 : arrived0;
     if (ctx.rank() == 0) {
       outbox.push_back({ctx.now() + kLatency, 1});
-      ctx.wake(1);
+      sent.wake();
     }
     for (;;) {
-      ctx.wait_until([&inbox]() -> std::optional<TimePs> {
+      ctx.wait("inbox", {&arrived}, [&inbox]() -> std::optional<TimePs> {
         if (inbox.empty()) return std::nullopt;
         return inbox.front().deliver;
       });
@@ -271,7 +355,7 @@ TEST(Engine, MessagePingPong) {
       EXPECT_GE(ctx.now(), m.deliver);
       if (m.hop >= kHops) break;
       outbox.push_back({ctx.now() + kLatency, m.hop + 1});
-      ctx.wake(1 - ctx.rank());
+      sent.wake();
       if (m.hop == kHops - 1) break;  // our last message is in flight
     }
   });
@@ -357,17 +441,54 @@ TEST(EngineTracks, WaitUntilWakesFromSiblingTrack) {
   Engine eng(1);
   eng.run([](Context& ctx) {
     TimePs ready = 0;
-    const TrackId t = ctx.spawn_track([&ready](Context& c) {
+    Waker set;
+    const TrackId t = ctx.spawn_track([&ready, &set](Context& c) {
       c.advance(us(7));
       ready = c.now();
+      set.wake();
     });
-    ctx.wait_until([&ready]() -> std::optional<TimePs> {
+    ctx.wait("sibling", {&set}, [&ready]() -> std::optional<TimePs> {
       if (ready == 0) return std::nullopt;
       return ready;
     });
     EXPECT_EQ(ctx.now(), us(7));
     ctx.join_track(t);
   });
+}
+
+TEST(EngineTracks, AbortUnwindsSpawnedTracksBeforeTheirSpawner) {
+  // A spawned track's frames may refer to its spawner's, as a server's
+  // worker tracks use the server on the rank program's stack: an aborted
+  // run must unwind the track while its spawner's frames still exist.
+  Engine eng(2);
+  std::vector<std::string> unwound;
+  struct Note {
+    std::vector<std::string>* log;
+    const char* name;
+    ~Note() { log->push_back(name); }
+  };
+  std::string error;
+  try {
+    eng.run([&unwound](Context& ctx) {
+      if (ctx.rank() == 1) {
+        ctx.advance(ns(10));  // rank 0's lanes block first
+        throw SimError("rank 1 exploded");
+      }
+      const auto never = []() -> std::optional<TimePs> {
+        return std::nullopt;
+      };
+      Note spawner{&unwound, "spawner"};
+      const TrackId t = ctx.spawn_track([&unwound, &never](Context& c) {
+        Note track{&unwound, "track"};
+        c.wait("forever", {}, never);
+      });
+      ctx.join_track(t);
+    });
+  } catch (const SimError& e) {
+    error = e.what();
+  }
+  EXPECT_EQ(error, "rank 1 exploded");
+  EXPECT_EQ(unwound, (std::vector<std::string>{"track", "spawner"}));
 }
 
 TEST(EngineTracks, FourTrackScheduleIsDeterministic) {
@@ -419,14 +540,16 @@ TEST(Engine, ThousandsOfRanks) {
   // neighbour's: every rank ends at max(own, neighbour's) publish time.
   constexpr int kRanks = 4096;
   std::vector<std::optional<TimePs>> published(kRanks);
+  std::vector<Waker> publish(kRanks);
   Engine eng(kRanks);
-  eng.run([&published](Context& ctx) {
+  eng.run([&published, &publish](Context& ctx) {
     const auto me = static_cast<std::size_t>(ctx.rank());
     ctx.advance(ns(me % 7 + 1));
     published[me] = ctx.now();
-    ctx.wake(static_cast<RankId>((me + kRanks - 1) % kRanks));
-    const auto& right = published[(me + 1) % kRanks];
-    ctx.wait_until([&right] { return right; });
+    publish[me].wake();
+    const auto right = (me + 1) % kRanks;
+    ctx.wait("right neighbour", {&publish[right]},
+             [&published, right] { return published[right]; });
   });
   const auto publish_time = [](int r) {
     return ns(static_cast<std::uint64_t>(r % 7 + 1));
@@ -485,14 +608,15 @@ TEST(Engine, StatsCountDecisionsSwitchesAndPredicateCalls) {
     EXPECT_EQ(s.predicate_calls, 0u);
   }
   {
-    // Rank 0 blocks (predicate call 1) and hands over to rank 1, which
-    // sets the flag at 10 ns and wakes rank 0 (call 2, ready) as it
-    // finishes; rank 0 resumes, finishes, and the run returns.
+    // Rank 0 blocks (ready function call 1) and hands over to rank 1,
+    // which sets the flag at 10 ns and fires its Waker (call 2, ready)
+    // as it finishes; rank 0 resumes, finishes, and the run returns.
     Engine eng(2);
     bool set = false;
-    eng.run([&set](Context& ctx) {
+    Waker fired;
+    eng.run([&set, &fired](Context& ctx) {
       if (ctx.rank() == 0) {
-        ctx.wait_until([&set]() -> std::optional<TimePs> {
+        ctx.wait("flag", {&fired}, [&set]() -> std::optional<TimePs> {
           if (!set) return std::nullopt;
           return ns(10);
         });
@@ -500,7 +624,7 @@ TEST(Engine, StatsCountDecisionsSwitchesAndPredicateCalls) {
       } else {
         ctx.advance(ns(10));
         set = true;
-        ctx.wake(0);
+        fired.wake();
       }
     });
     const Engine::Stats s = eng.stats();

@@ -116,17 +116,20 @@ TEST(Verbs, PrivateCqsWakeTheirRank) {
   // only if that push wakes rank 1.
   core::Cluster cluster(two_singles(true));
   std::array<std::optional<Qp>, 2> qps;
-  cluster.run([&qps](core::RankEnv& env) {
+  Waker made;  // fires when a QP is created
+  cluster.run([&qps, &made](core::RankEnv& env) {
     const auto me = static_cast<std::size_t>(env.rank());
     Context ctx(env.sim(), env.space(), env.state().node->adapter);
     auto& m = env.space().map(64 * kKiB, mem::PageKind::Small);
     const Mr mr = ctx.reg_mr(m.va_base, 64 * kKiB);
     qps[me] = ctx.create_qp();
-    env.sim().wake(1 - env.rank());
-    env.sim().wait_until([&qps, &env]() -> std::optional<TimePs> {
+    made.wake();
+    const TimePs created = env.now();
+    const auto both = [&qps, created]() -> std::optional<TimePs> {
       if (!qps[0] || !qps[1]) return std::nullopt;
-      return env.now();
-    });
+      return created;
+    };
+    env.sim().wait("both qps", {&made}, both);
     if (me == 0) {
       Qp::connect(*qps[0], *qps[1]);
       env.sim().advance(us(5));  // rank 1 is blocked by now
