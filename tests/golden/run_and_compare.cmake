@@ -8,6 +8,8 @@
 #   EXPECT  regex its merged stdout and stderr must match
 #   OUT     a file the command writes, which must be byte-identical to
 #   GOLDEN  a checked-in file
+#   CAPTURE when set, this script writes the command's merged stdout and
+#           stderr to OUT itself (a bench whose golden is its printout)
 #   TRACE   a Chrome trace the command writes: it must parse as JSON and
 #           hold counter ("C") and flow ("s", "f") records
 cmake_minimum_required(VERSION 3.19)  # string(JSON)
@@ -44,6 +46,9 @@ if(DEFINED EXPECT AND NOT out MATCHES "${EXPECT}")
           "${cmdline}\nprinted nothing matching '${EXPECT}':\n${out}")
 endif()
 
+if(CAPTURE)
+  file(WRITE ${OUT} "${out}")
+endif()
 if(DEFINED GOLDEN)
   execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files ${OUT} ${GOLDEN}
                   RESULT_VARIABLE diff)
