@@ -14,13 +14,11 @@ using namespace ibp;
 
 namespace {
 
-TimePs measure(bool aligned, std::uint32_t pieces, std::uint32_t piece_bytes,
-               const std::string& policy = "paper-default") {
+TimePs measure(bool aligned, std::uint32_t pieces, std::uint32_t piece_bytes) {
   core::ClusterConfig cfg;
   cfg.platform = platform::systemp_gx_ehca();
   cfg.nodes = 2;
   cfg.ranks_per_node = 1;
-  cfg.placement_policy = policy;
   core::Cluster cluster(cfg);
   mpi::CommConfig ccfg;
   ccfg.sge_gather = true;
@@ -86,11 +84,5 @@ int main() {
   std::printf("\n(§4: 'the memory access of the InfiniBand adapter ... is "
               "optimized for certain offsets' — aligned placement turns "
               "that into free latency)\n");
-
-  std::printf("\nmisaligned 8 x 64 B gather by placement policy:\n\n");
-  bench::run_policy_sweep(
-      "round-trip [us]", [](const placement::PolicyInfo& info) {
-        return measure(false, 8, 64, std::string(info.name));
-      });
   return 0;
 }

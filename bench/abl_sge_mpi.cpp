@@ -19,13 +19,11 @@ namespace {
 
 enum class Mode { Pack, Sge, Separate };
 
-TimePs measure(Mode mode, std::uint32_t pieces, std::uint32_t piece_bytes,
-               const std::string& policy = "paper-default") {
+TimePs measure(Mode mode, std::uint32_t pieces, std::uint32_t piece_bytes) {
   core::ClusterConfig cfg;
   cfg.platform = platform::systemp_gx_ehca();
   cfg.nodes = 2;
   cfg.ranks_per_node = 1;
-  cfg.placement_policy = policy;
   core::Cluster cluster(cfg);
   mpi::CommConfig ccfg;
   ccfg.sge_gather = mode == Mode::Sge;
@@ -103,11 +101,5 @@ int main() {
   t.print();
   std::printf("\n(paper §4/§7: MPI implementations 'may benefit in a "
               "perceptible way' from mapping Pack/Unpack onto SGE lists)\n");
-
-  std::printf("\nSGE gather 8 x 256 B by placement policy:\n\n");
-  bench::run_policy_sweep(
-      "round-trip [us]", [](const placement::PolicyInfo& info) {
-        return measure(Mode::Sge, 8, 256, std::string(info.name));
-      });
   return 0;
 }

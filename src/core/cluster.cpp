@@ -43,13 +43,12 @@ RankEnv::RankEnv(Cluster& cluster, sim::Context& sc, RankState& st)
             &st.send_cq, &st.recv_cq),
       rcache_(vctx_,
               // The plan's registration strategy for a representative
-              // rendezvous buffer picks the cache mode (PaperDefault maps
+              // rendezvous buffer picks the cache mode (every policy maps
               // lazy_deregistration to LazyCache/Deactivated exactly).
               st.placement
                   ->plan({.size = 64 * kKiB,
                           .role = placement::Role::Rendezvous})
-                  .registration,
-              cluster.config().regcache_capacity_bytes) {
+                  .registration) {
   if (sim::Tracer* t = cluster.tracer()) {
     st.placement->set_tracer(t, st.id, [this] { return sc_->now(); });
   }
@@ -65,7 +64,6 @@ RankEnv::RankEnv(Cluster& cluster, sim::Context& sc, RankState& st)
   probe("regcache.releases", [rc] { return double(rc->stats().releases); });
   probe("regcache.invalidations",
         [rc] { return double(rc->stats().invalidations); });
-  probe("regcache.evictions", [rc] { return double(rc->stats().evictions); });
   probe("regcache.pinned_bytes_peak",
         [rc] { return double(rc->stats().pinned_bytes_peak); });
 }
@@ -236,8 +234,6 @@ void Cluster::register_probes() {
           [rs] { return double(rs->placement->stats().small_backed); });
     probe("placement.sge_plans",
           [rs] { return double(rs->placement->stats().sge_plans); });
-    probe("placement.aligned_plans",
-          [rs] { return double(rs->placement->stats().aligned_plans); });
     probe("placement.feedbacks",
           [rs] { return double(rs->placement->stats().feedbacks); });
   }

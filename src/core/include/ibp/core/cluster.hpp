@@ -49,7 +49,8 @@ struct ClusterConfig {
   /// Preload the paper's hugepage library (large allocations land in
   /// hugepages transparently). false = baseline (libc everywhere).
   bool hugepage_library = false;
-  /// MPI-level lazy deregistration (pin-down cache).
+  /// MPI-level lazy deregistration (pin-down cache). false = register
+  /// and deregister around every transfer: Fig. 5's other configuration.
   bool lazy_deregistration = true;
   /// Placement policy (ibp::placement registry name) every rank plans
   /// buffer placement with. "paper-default" reproduces the paper's
@@ -60,11 +61,6 @@ struct ClusterConfig {
   /// `placement_policy` is "adaptive". Roles not listed use
   /// `placement_policy`. Role names: see placement::role_name.
   std::vector<std::pair<std::string, std::string>> placement_role_policies;
-  /// Bound on memory the pin-down cache may keep registered (0 =
-  /// unlimited, the configuration the paper measured; a finite bound
-  /// evicts LRU registrations and mitigates the §1 pinned-memory
-  /// drawback at the price of re-registrations).
-  std::uint64_t regcache_capacity_bytes = 0;
   /// The paper's OpenIB driver patch: ship native hugepage translations.
   verbs::DriverConfig driver{.hugepage_passthrough = true, .qp = {}};
   hugepage::LibraryConfig library;  // threshold / fit policy / costs
@@ -198,22 +194,12 @@ class RankEnv {
   TimePs now() const { return sc_->now(); }
 
   /// Allocate through the (possibly preloaded) hugepage library, charging
-  /// allocator time. `role` tells the placement policy what the buffer is
-  /// for; under an eager-pin plan the block is registered here and now,
-  /// so no later transfer pays registration inline.
+  /// allocator time. `role` tells the placement policy what it is for.
   VirtAddr alloc(std::uint64_t size,
                  placement::Role role = placement::Role::WorkloadHeap) {
     auto r = st_->lib.malloc(size, role);
     sc_->advance(r.cost);
     IBP_CHECK(r.addr != 0, "allocation failed");
-    if (size > 0 &&
-        rcache_.strategy() == placement::RegStrategy::EagerPin &&
-        st_->lib.plan_for(size, role).registration ==
-            placement::RegStrategy::EagerPin) {
-      // Pre-pin: the registration stays cached (refs drop to zero), so
-      // transfers over this block always hit the pin-down cache.
-      rcache_.release(rcache_.acquire(r.addr, size));
-    }
     return r.addr;
   }
 

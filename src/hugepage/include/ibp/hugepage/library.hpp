@@ -15,7 +15,7 @@
 // run without the preloaded library (everything goes to libc), which is
 // the paper's baseline configuration.
 
-// Placement decisions (backing tier, alignment, chunk granularity) are
+// Placement decisions (backing tier, chunk granularity) are
 // delegated to ibp::placement: every allocation asks a policy for a
 // BufferPlan and routes accordingly. Without an injected engine the
 // library plans with a private PaperDefaultPolicy, which reproduces the
@@ -70,8 +70,7 @@ class Library {
     const placement::BufferPlan plan = plan_for(size, role);
     if (plan.backing == mem::PageKind::Small) {
       ++stats_.libc_allocs;
-      return plan.alignment > 0 ? libc_.allocate_aligned(size, plan.alignment)
-                                : libc_.allocate(size);
+      return libc_.allocate(size);
     }
     OpResult r = huge_.allocate(size);
     if (r.addr == 0) {
@@ -96,11 +95,10 @@ class Library {
   /// offset; aligned starts hit the DMA fast path). Requests at or above
   /// the hugepage threshold are chunk-aligned (4 KB) by construction.
   OpResult memalign(std::uint64_t alignment, std::uint64_t size) {
-    const placement::BufferPlan plan =
-        plan_for(size, placement::Role::WorkloadHeap);
-    if (plan.backing == mem::PageKind::Small) {
+    if (plan_for(size, placement::Role::WorkloadHeap).backing ==
+        mem::PageKind::Small) {
       ++stats_.libc_allocs;
-      return libc_.allocate_aligned(size, std::max(alignment, plan.alignment));
+      return libc_.allocate_aligned(size, alignment);
     }
     // Hugepage blocks are chunk aligned, satisfying any smaller
     // alignment; larger requests fall back to the small-page path.

@@ -305,8 +305,8 @@ void Comm::transport_send_sges(int peer, const Header& hdr_in,
                                const std::vector<Seg>& segs,
                                SendAction action) {
   IBP_CHECK(!same_node(peer), "SGE gather sends are IB-only");
-  IBP_CHECK(env_->rcache().lazy() && env_->rcache().capacity() == 0,
-            "SGE gather sends need an unbounded lazy registration cache "
+  IBP_CHECK(env_->rcache().lazy(),
+            "SGE gather sends need a lazy registration cache "
             "(gathered buffers must stay registered until the CQE)");
   Header hdr = hdr_in;
   hdr.seq = send_seq_[static_cast<std::size_t>(peer)]++;

@@ -11,21 +11,20 @@
 // lazy-pin flag in regcache, ad-hoc knobs in the ablation benches). The
 // PlacementEngine consolidates them: given a buffer request (size, role,
 // datatype layout) it returns a BufferPlan — backing page size,
-// alignment, chunking, SGE layout, registration strategy — behind
-// a pluggable Policy interface, the way MPICH2-over-InfiniBand keeps its
+// chunking, protocol, SGE layout, registration strategy — behind a
+// pluggable Policy interface, the way MPICH2-over-InfiniBand keeps its
 // protocol/registration choices in one tunable layer.
 //
 // Policies:
 //   * PaperDefault       — exactly the paper's published behaviour
 //                          (bit-exact with the pre-engine code paths),
 //   * SmallPageBaseline  — never uses hugepages (the paper's baseline),
-//   * AlignFirst         — PaperDefault + 64-byte aligned placement for
-//                          small buffers (the Figure 4 offset strategy),
-//   * EagerPin           — PaperDefault + allocation-time pinning of
-//                          communication-sized buffers,
 //   * Adaptive           — starts from the paper's prior and refines
 //                          per-size decisions from observed stats fed
 //                          back by the MPI layer (CommStats/CacheStats).
+//
+// Aligned placement (§4, Figure 4) is an allocator call, not a policy:
+// hugepage::Library::memalign.
 
 #include <cstdint>
 #include <functional>
@@ -56,9 +55,9 @@ enum class Role : std::uint8_t {
 };
 inline constexpr int kRoleCount = 10;
 
-/// How a buffer's memory registration is managed.
+/// How a buffer's memory registration is managed: the paper's two
+/// measured configurations (Figure 5).
 enum class RegStrategy : std::uint8_t {
-  EagerPin,     // register at allocation time, keep pinned
   LazyCache,    // pin-down cache with lazy deregistration (Tezuka et al.)
   Deactivated,  // register per transfer, deregister at completion
 };
@@ -90,9 +89,6 @@ struct BufferRequest {
 struct BufferPlan {
   /// Backing page-size tier for the buffer's memory.
   mem::PageKind backing = mem::PageKind::Small;
-  /// Required start alignment (0 = allocator default). The heap honours
-  /// this via its aligned-allocation path.
-  std::uint64_t alignment = 0;
   /// Heap carving granularity (the paper's 4 KB chunks, §3.2 #4).
   std::uint64_t chunk = 4 * kKiB;
   /// Protocol for message-role requests.
@@ -171,28 +167,6 @@ class SmallPageBaselinePolicy : public PaperDefaultPolicy {
                   const PolicyContext& ctx) const override;
 };
 
-/// PaperDefault plus the §4 aligned-placement strategy: small buffers
-/// start 64-byte aligned at the DMA-friendly offset (Figure 4's fast
-/// offset), so gathered work requests hit the adapter's burst fast path.
-class AlignFirstPolicy : public PaperDefaultPolicy {
- public:
-  std::string_view name() const override { return "align-first"; }
-  std::string_view description() const override;
-  BufferPlan plan(const BufferRequest& req,
-                  const PolicyContext& ctx) const override;
-};
-
-/// PaperDefault plus allocation-time pinning: buffers big enough to be
-/// sent (>= eager threshold) are registered when allocated, so no
-/// transfer ever pays first-touch registration inline.
-class EagerPinPolicy : public PaperDefaultPolicy {
- public:
-  std::string_view name() const override { return "eager-pin"; }
-  std::string_view description() const override;
-  BufferPlan plan(const BufferRequest& req,
-                  const PolicyContext& ctx) const override;
-};
-
 /// Learns per-size placement from observed stats. Starts from the
 /// paper's prior (hugepages at/above the context threshold) and flips a
 /// size bucket whenever fed observations show the other backing cheaper
@@ -262,7 +236,6 @@ struct EngineStats {
   std::uint64_t huge_backed = 0;
   std::uint64_t small_backed = 0;
   std::uint64_t sge_plans = 0;
-  std::uint64_t aligned_plans = 0;  // plans demanding extra alignment
   std::uint64_t feedbacks = 0;
 };
 
@@ -282,11 +255,6 @@ class PlacementEngine {
 
   /// Feed an observation to the policy deciding `fb.role` (and count it).
   void feed(const Feedback& fb);
-
-  /// Replace the default policy in place, keeping context, counters and
-  /// every outstanding pointer to the engine valid (e.g.
-  /// hugepage::Library's). Role overrides are unaffected.
-  void set_policy(std::unique_ptr<Policy> policy);
 
   /// Install (or, with nullptr, clear) a per-role policy override: plans
   /// and feedback for `role` route to it instead of the default policy,

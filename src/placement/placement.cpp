@@ -49,7 +49,6 @@ std::optional<Role> role_from_name(std::string_view name) {
 
 const char* reg_strategy_name(RegStrategy s) {
   switch (s) {
-    case RegStrategy::EagerPin: return "eager-pin";
     case RegStrategy::LazyCache: return "lazy-cache";
     case RegStrategy::Deactivated: return "deactivated";
   }
@@ -81,7 +80,6 @@ BufferPlan PaperDefaultPolicy::plan(const BufferRequest& req,
   p.backing = (ctx.hugepages_enabled && req.size >= ctx.huge_threshold)
                   ? mem::PageKind::Huge
                   : mem::PageKind::Small;
-  p.alignment = 0;  // allocator default (chunk-granular carve)
   p.chunk = ctx.chunk;
   // Protocol: mirrors mpi::Comm::isend exactly.
   if (req.size <= ctx.eager_threshold) {
@@ -111,38 +109,6 @@ BufferPlan SmallPageBaselinePolicy::plan(const BufferRequest& req,
   PolicyContext base = ctx;
   base.hugepages_enabled = false;
   return PaperDefaultPolicy::plan(req, base);
-}
-
-// ---------------------------------------------------------------------------
-// AlignFirst
-
-std::string_view AlignFirstPolicy::description() const {
-  return "paper-default plus 64-byte aligned placement at the Fig. 4 fast "
-         "offset for sub-page buffers";
-}
-
-BufferPlan AlignFirstPolicy::plan(const BufferRequest& req,
-                                  const PolicyContext& ctx) const {
-  BufferPlan p = PaperDefaultPolicy::plan(req, ctx);
-  // Fig. 4: throughput for small WRs depends on the buffer's intra-page
-  // offset; 64-byte-aligned starts hit the adapter's burst fast path.
-  if (req.size < kSmallPageSize) p.alignment = 64;
-  return p;
-}
-
-// ---------------------------------------------------------------------------
-// EagerPin
-
-std::string_view EagerPinPolicy::description() const {
-  return "paper-default plus allocation-time pinning of buffers at or above "
-         "the eager threshold";
-}
-
-BufferPlan EagerPinPolicy::plan(const BufferRequest& req,
-                                const PolicyContext& ctx) const {
-  BufferPlan p = PaperDefaultPolicy::plan(req, ctx);
-  if (req.size >= ctx.eager_threshold) p.registration = RegStrategy::EagerPin;
-  return p;
 }
 
 // ---------------------------------------------------------------------------
@@ -288,8 +254,6 @@ const std::vector<PolicyInfo>& registered_policies() {
     };
     add(PaperDefaultPolicy{});
     add(SmallPageBaselinePolicy{});
-    add(AlignFirstPolicy{});
-    add(EagerPinPolicy{});
     add(AdaptivePolicy{});
     return v;
   }();
@@ -334,7 +298,6 @@ BufferPlan PlacementEngine::plan(const BufferRequest& req,
     ++stats_.small_backed;
   }
   if (p.sge_gather) ++stats_.sge_plans;
-  if (p.alignment > 0) ++stats_.aligned_plans;
   if (tracer_ && clock_) {
     std::ostringstream name;
     name << pol.name() << ' ' << role_name(req.role) << ' ' << req.size
@@ -349,11 +312,6 @@ BufferPlan PlacementEngine::plan(const BufferRequest& req,
 void PlacementEngine::feed(const Feedback& fb) {
   ++stats_.feedbacks;
   policy_for(fb.role).observe(fb);
-}
-
-void PlacementEngine::set_policy(std::unique_ptr<Policy> policy) {
-  IBP_CHECK(policy != nullptr, "PlacementEngine needs a policy");
-  policy_ = std::move(policy);
 }
 
 void PlacementEngine::set_role_policy(Role role,

@@ -11,34 +11,19 @@
 // release() is a no-op while lazy mode is on — memory stays pinned, which
 // is exactly the drawback the paper discusses (§1: "memory remains
 // allocated to the application during their whole runtime. This can lead
-// to less available physical memory"). `max_pinned_bytes` bounds that
-// drawback: when set, the least-recently-used cached registrations are
-// evicted (deregistered) to make room — the middle ground between the
-// paper's two measured configurations.
+// to less available physical memory").
 //
 // With lazy mode off, acquire registers and release immediately
-// deregisters (the paper's Figure 5 "deactivated" configuration).
+// deregisters (the paper's Figure 5 "deactivated" configuration). The
+// mode is fixed for the cache's life.
+//
+// The cache is one address-ordered map of entries, keyed by each MR's
+// start address. An entry counts the acquires not yet released.
 //
 // invalidate() must be called when a cached range is freed/unmapped (the
 // classic pin-down-cache correctness hazard).
-//
-// Sharding: with `shards` > 1 the cache index is split into buckets keyed
-// by the owning mapping's base address, so concurrent server threads
-// (sim tracks) touching disjoint heaps walk disjoint index structures —
-// the shared-state refactor that makes the multi-threaded host model
-// honest. Entries never span mappings (the hull is clamped to one), so a
-// lookup probes exactly one shard. One shard (the default) is the legacy
-// single-index cache, bit-exact with earlier runs.
-//
-// Generation-based retirement: switching strategy to Deactivated dooms
-// every currently cached registration — the idle ones retire immediately,
-// reference-held ones retire at their release(), *even if the strategy
-// has flipped back to a caching mode by then*. Each entry is stamped with
-// the generation it was created in; the switch raises the retirement
-// floor above every existing stamp.
 
 #include <cstdint>
-#include <list>
 #include <map>
 #include <vector>
 
@@ -54,8 +39,6 @@ struct CacheStats {
   std::uint64_t misses = 0;
   std::uint64_t releases = 0;
   std::uint64_t invalidations = 0;
-  std::uint64_t evictions = 0;
-  std::uint64_t retirements = 0;  // doomed entries retired at release()
   std::uint64_t pinned_bytes = 0;       // currently cached
   std::uint64_t pinned_bytes_peak = 0;
 };
@@ -64,22 +47,8 @@ class RegCache {
  public:
   using RegStrategy = placement::RegStrategy;
 
-  /// `max_pinned_bytes` == 0 means unlimited (the classic lazy cache).
-  /// `shards` splits the cache index (see file comment); 1 = legacy.
-  RegCache(verbs::Context& vctx, RegStrategy strategy,
-           std::uint64_t max_pinned_bytes = 0, std::uint32_t shards = 1)
-      : vctx_(&vctx), strategy_(strategy), capacity_(max_pinned_bytes) {
-    IBP_CHECK(shards > 0, "regcache needs at least one shard");
-    shards_.resize(shards);
-  }
-
-  /// Legacy two-state constructor: lazy pin-down cache vs the Figure 5
-  /// "deactivated" configuration.
-  RegCache(verbs::Context& vctx, bool lazy,
-           std::uint64_t max_pinned_bytes = 0)
-      : RegCache(vctx,
-                 lazy ? RegStrategy::LazyCache : RegStrategy::Deactivated,
-                 max_pinned_bytes) {}
+  RegCache(verbs::Context& vctx, RegStrategy strategy)
+      : vctx_(&vctx), lazy_(strategy == RegStrategy::LazyCache) {}
 
   ~RegCache() {
     // Leave MRs registered; the owning simulation tears the world down
@@ -87,60 +56,41 @@ class RegCache {
   }
 
   /// Registration covering [addr, addr+len). While lazy, the returned
-  /// registration is reference-held until the matching release(): an
-  /// in-flight transfer can never lose its MR to capacity eviction.
+  /// registration is reference-held until the matching release().
   verbs::Mr acquire(VirtAddr addr, std::uint64_t len) {
     IBP_CHECK(len > 0, "acquire of empty range");
     const mem::Mapping* m = vctx_->space().find(addr, len);
     IBP_CHECK(m != nullptr, "acquire over unmapped range");
-    Shard& sh = shard_for(m->va_base);
-    if (caching()) {
-      auto it = sh.cache.upper_bound(addr);
-      if (it != sh.cache.begin()) {
+    if (lazy_) {
+      auto it = cache_.upper_bound(addr);
+      if (it != cache_.begin()) {
         --it;
         Entry& e = it->second;
-        if (addr >= e.mr.addr && addr + len <= e.mr.addr + e.mr.length &&
-            e.gen >= retire_floor_) {
+        if (addr >= e.mr.addr && addr + len <= e.mr.addr + e.mr.length) {
           ++stats_.hits;
           ++e.refs;
-          e.use = ++use_clock_;
-          sh.lru.splice(sh.lru.begin(), sh.lru, e.lru_pos);
           return e.mr;
         }
       }
     }
     ++stats_.misses;
     // Register the page-aligned hull so nearby buffers in the same pages
-    // hit the cache later.
+    // hit the cache later. The hull never leaves its mapping.
     const std::uint64_t psz = m->page_size();
     const VirtAddr lo = std::max(m->va_base, align_down(addr, psz));
     const VirtAddr hi =
         std::min(m->va_base + m->length, align_up(addr + len, psz));
 
-    if (caching() && capacity_ != 0) {
-      // Evict idle least-recently-used entries until the hull fits.
-      // Reference-held entries are skipped — they belong to transfers
-      // still in flight; if everything is busy the bound is exceeded
-      // until those transfers finish.
-      while (stats_.pinned_bytes + (hi - lo) > capacity_) {
-        if (!evict_lru_idle()) break;
-      }
-    }
-
     verbs::Mr mr = vctx_->reg_mr(lo, hi - lo);
-    if (caching()) {
-      auto [it2, inserted] =
-          sh.cache.emplace(mr.addr, Entry{mr, {}, 1, gen_, 0, {}});
-      Entry& e = it2->second;
-      if (inserted) {
-        sh.lru.push_front(mr.addr);
-        e.lru_pos = sh.lru.begin();
-      } else {
+    if (lazy_) {
+      auto [it, inserted] = cache_.emplace(mr.addr, Entry{mr, 1, {}});
+      if (!inserted) {
         // A narrower registration already starts at this page-aligned
         // hull base (the covering check above missed because it does
         // not reach addr+len). Keep the wider MR as the entry's face;
         // the superseded one may still back in-flight transfers, so it
         // is retired — deregistered with the entry, not before.
+        Entry& e = it->second;
         ++e.refs;
         if (mr.length >= e.mr.length) {
           e.retired.push_back(e.mr);
@@ -148,9 +98,7 @@ class RegCache {
         } else {
           e.retired.push_back(mr);
         }
-        sh.lru.splice(sh.lru.begin(), sh.lru, e.lru_pos);
       }
-      e.use = ++use_clock_;
       stats_.pinned_bytes += mr.length;
       stats_.pinned_bytes_peak =
           std::max(stats_.pinned_bytes_peak, stats_.pinned_bytes);
@@ -159,186 +107,78 @@ class RegCache {
   }
 
   /// Done with a registration obtained from acquire(). Lazy mode drops
-  /// the in-flight reference (the registration stays cached); otherwise —
-  /// or when the entry was doomed by a Deactivated switch — the region is
-  /// deregistered once idle.
+  /// the in-flight reference (the registration stays cached); otherwise
+  /// the region is deregistered now.
   void release(const verbs::Mr& mr) {
     ++stats_.releases;
-    auto [sh, it] = locate(mr.addr);
-    if (sh == nullptr) {
-      // Never cached (deactivated-mode registration) or already dropped
-      // by invalidate/evict; deregister only in the former case.
-      if (!caching()) vctx_->dereg_mr(mr);
+    if (!lazy_) {
+      vctx_->dereg_mr(mr);
       return;
     }
-    Entry& e = it->second;
-    if (e.refs > 0) --e.refs;
-    if (e.refs != 0) return;
-    if (!caching()) {
-      // The strategy switched to Deactivated while this transfer was in
-      // flight: retire the cached registration now that it is idle.
-      evict(*sh, it);
-    } else if (e.gen < retire_floor_) {
-      // Doomed by an earlier Deactivated switch; retire even though the
-      // strategy has since flipped back to caching.
-      ++stats_.retirements;
-      evict(*sh, it);
-    }
+    // An entry already dropped by invalidate() has nothing left to count.
+    auto it = cache_.find(mr.addr);
+    if (it != cache_.end() && it->second.refs > 0) --it->second.refs;
   }
 
   /// Drop any cached registrations intersecting [addr, addr+len) — must be
   /// called before the memory is freed or unmapped.
   void invalidate(VirtAddr addr, std::uint64_t len) {
-    for (Shard& sh : shards_) {
-      if (sh.cache.empty()) continue;
-      auto it = sh.cache.lower_bound(addr);
-      if (it != sh.cache.begin()) --it;
-      while (it != sh.cache.end() && it->second.mr.addr < addr + len) {
-        const verbs::Mr& mr = it->second.mr;
-        if (mr.addr + mr.length > addr) {
-          stats_.pinned_bytes -= mr.length;
-          ++stats_.invalidations;
-          sh.lru.erase(it->second.lru_pos);
-          drop_retired(it->second);
-          vctx_->dereg_mr(mr);
-          it = sh.cache.erase(it);
-        } else {
-          ++it;
-        }
+    auto it = cache_.lower_bound(addr);
+    if (it != cache_.begin()) --it;
+    while (it != cache_.end() && it->second.mr.addr < addr + len) {
+      const verbs::Mr& mr = it->second.mr;
+      if (mr.addr + mr.length > addr) {
+        ++stats_.invalidations;
+        it = drop(it);
+      } else {
+        ++it;
       }
     }
   }
 
   /// Deregister everything (test teardown / accounting).
   void flush() {
-    for (Shard& sh : shards_) {
-      for (auto& [a, e] : sh.cache) {
-        drop_retired(e);
-        vctx_->dereg_mr(e.mr);
-      }
-      sh.cache.clear();
-      sh.lru.clear();
-    }
-    stats_.pinned_bytes = 0;
+    for (auto it = cache_.begin(); it != cache_.end();) it = drop(it);
   }
 
-  /// Switch registration strategies at run time (driven by a placement
-  /// plan). Moving to Deactivated dooms the current generation: idle
-  /// cached registrations retire immediately, reference-held entries
-  /// retire as their transfers release them — even if the strategy flips
-  /// back to a caching mode first. The `max_pinned_bytes` bound keeps
-  /// applying across switches.
-  void set_strategy(RegStrategy strategy) {
-    strategy_ = strategy;
-    if (caching()) return;
-    retire_floor_ = ++gen_;
-    for (Shard& sh : shards_) {
-      for (auto it = sh.cache.begin(); it != sh.cache.end();) {
-        auto cur = it++;
-        if (cur->second.refs == 0) evict(sh, cur);
-      }
-    }
-  }
-
-  RegStrategy strategy() const { return strategy_; }
-  /// True while registrations outlive their transfer (any caching mode).
-  bool lazy() const { return caching(); }
-  std::uint64_t capacity() const { return capacity_; }
-  std::uint32_t shards() const {
-    return static_cast<std::uint32_t>(shards_.size());
-  }
+  /// True while registrations outlive their transfer (the pin-down cache).
+  bool lazy() const { return lazy_; }
   const CacheStats& stats() const { return stats_; }
-  std::size_t entries() const {
-    std::size_t n = 0;
-    for (const Shard& sh : shards_) n += sh.cache.size();
+  std::size_t entries() const { return cache_.size(); }
+  /// Acquires of cached registrations not yet released (0 once every
+  /// transfer has finished).
+  std::uint64_t in_flight() const {
+    std::uint64_t n = 0;
+    for (const auto& [base, e] : cache_) n += e.refs;
     return n;
   }
 
  private:
   struct Entry {
     verbs::Mr mr;
-    std::list<VirtAddr>::iterator lru_pos;
     std::uint32_t refs = 0;  // in-flight transfers using this MR
-    std::uint64_t gen = 0;   // creation generation (retirement floor)
-    std::uint64_t use = 0;   // global recency stamp (cross-shard LRU)
     // Same-hull registrations this entry superseded; they may back
     // transfers still in flight, so they deregister with the entry.
     std::vector<verbs::Mr> retired;
   };
+  using Map = std::map<VirtAddr, Entry>;
 
-  struct Shard {
-    std::map<VirtAddr, Entry> cache;
-    std::list<VirtAddr> lru;  // front = most recently used
-  };
-
-  Shard& shard_for(VirtAddr mapping_base) {
-    // Mix the mapping base so adjacent mappings spread over shards.
-    const std::uint64_t h = (mapping_base >> 12) * 0x9E3779B97F4A7C15ull;
-    return shards_[h % shards_.size()];
-  }
-
-  /// Shard and iterator holding `key`, or {nullptr, {}} when uncached.
-  std::pair<Shard*, std::map<VirtAddr, Entry>::iterator> locate(
-      VirtAddr key) {
-    for (Shard& sh : shards_) {
-      auto it = sh.cache.find(key);
-      if (it != sh.cache.end()) return {&sh, it};
-    }
-    return {nullptr, {}};
-  }
-
-  void drop_retired(Entry& e) {
+  /// Deregister an entry and everything it retired; returns the next one.
+  Map::iterator drop(Map::iterator it) {
+    Entry& e = it->second;
     for (const verbs::Mr& r : e.retired) {
       stats_.pinned_bytes -= r.length;
       vctx_->dereg_mr(r);
     }
-    e.retired.clear();
+    stats_.pinned_bytes -= e.mr.length;
+    vctx_->dereg_mr(e.mr);
+    return cache_.erase(it);
   }
-
-  void evict(Shard& sh, std::map<VirtAddr, Entry>::iterator it) {
-    stats_.pinned_bytes -= it->second.mr.length;
-    ++stats_.evictions;
-    sh.lru.erase(it->second.lru_pos);
-    drop_retired(it->second);
-    vctx_->dereg_mr(it->second.mr);
-    sh.cache.erase(it);
-  }
-
-  /// Evict the globally least-recently-used idle entry; false when every
-  /// cached entry is reference-held.
-  bool evict_lru_idle() {
-    Shard* best_sh = nullptr;
-    VirtAddr best_key = 0;
-    std::uint64_t best_use = ~std::uint64_t{0};
-    for (Shard& sh : shards_) {
-      // The LRU list is recency-ordered, so the rearmost idle entry is
-      // this shard's candidate.
-      for (auto it = sh.lru.rbegin(); it != sh.lru.rend(); ++it) {
-        const Entry& e = sh.cache.at(*it);
-        if (e.refs != 0) continue;
-        if (e.use < best_use) {
-          best_use = e.use;
-          best_sh = &sh;
-          best_key = *it;
-        }
-        break;
-      }
-    }
-    if (best_sh == nullptr) return false;
-    evict(*best_sh, best_sh->cache.find(best_key));
-    return true;
-  }
-
-  bool caching() const { return strategy_ != RegStrategy::Deactivated; }
 
   verbs::Context* vctx_;
-  RegStrategy strategy_;
-  std::uint64_t capacity_;
+  bool lazy_;
   CacheStats stats_;
-  std::vector<Shard> shards_;
-  std::uint64_t gen_ = 0;
-  std::uint64_t retire_floor_ = 0;  // entries with gen < floor are doomed
-  std::uint64_t use_clock_ = 0;
+  Map cache_;
 };
 
 }  // namespace ibp::regcache

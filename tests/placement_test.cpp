@@ -15,7 +15,7 @@ namespace {
 
 TEST(Registry, ListsAllPolicies) {
   const auto& infos = registered_policies();
-  ASSERT_GE(infos.size(), 4u);
+  ASSERT_EQ(infos.size(), 3u);
   EXPECT_EQ(infos.front().name, "paper-default");
   for (const PolicyInfo& info : infos) {
     EXPECT_FALSE(info.description.empty());
@@ -60,7 +60,6 @@ TEST(PaperDefault, GoldenEquivalenceSweep) {
                                            : mem::PageKind::Small)
                 << "size " << size;
             EXPECT_EQ(p.chunk, 4 * kKiB);
-            EXPECT_EQ(p.alignment, 0u) << "paper-default adds no alignment";
 
             // mpi::Comm::isend's exact protocol conditions.
             if (size <= 8 * kKiB) {
@@ -138,27 +137,6 @@ TEST(SmallPageBaseline, NeverUsesHugepages) {
     EXPECT_EQ(policy.plan({.size = size}, ctx).backing,
               mem::PageKind::Small);
   }
-}
-
-TEST(AlignFirst, AlignsSubPageBuffers) {
-  AlignFirstPolicy policy;
-  PolicyContext ctx;
-  ctx.hugepages_enabled = true;
-  const BufferPlan small = policy.plan({.size = 256}, ctx);
-  EXPECT_EQ(small.alignment, 64u);
-  // At or beyond a page the paper's default placement applies unchanged.
-  const BufferPlan big = policy.plan({.size = 64 * kKiB}, ctx);
-  EXPECT_EQ(big.alignment, 0u);
-  EXPECT_EQ(big.backing, mem::PageKind::Huge);
-}
-
-TEST(EagerPin, PinsCommunicationSizedBuffers) {
-  EagerPinPolicy policy;
-  PolicyContext ctx;
-  EXPECT_EQ(policy.plan({.size = 4 * kKiB}, ctx).registration,
-            RegStrategy::LazyCache);
-  EXPECT_EQ(policy.plan({.size = 64 * kKiB}, ctx).registration,
-            RegStrategy::EagerPin);
 }
 
 // ---------------------------------------------------------------------------
@@ -256,75 +234,6 @@ TEST(Engine, TracerLogsPlanDecisions) {
 }
 
 // ---------------------------------------------------------------------------
-// RegCache strategy switching honours max_pinned_bytes across changes.
-
-TEST(RegCacheStrategy, CapHoldsAcrossStrategySwitches) {
-  core::ClusterConfig cfg;
-  cfg.nodes = 1;
-  cfg.ranks_per_node = 1;
-  cfg.regcache_capacity_bytes = 256 * kKiB;
-  core::Cluster cluster(cfg);
-  cluster.run([](core::RankEnv& env) {
-    auto& m = env.space().map(4 * kMiB, mem::PageKind::Small);
-    regcache::RegCache& rc = env.rcache();
-    EXPECT_EQ(rc.strategy(), RegStrategy::LazyCache);
-    const std::uint64_t cap = rc.capacity();
-    ASSERT_EQ(cap, 256 * kKiB);
-
-    // Fill beyond the cap under LazyCache: LRU eviction keeps the bound.
-    for (int i = 0; i < 8; ++i) {
-      rc.release(rc.acquire(m.va_base + i * 128 * kKiB, 64 * kKiB));
-      EXPECT_LE(rc.stats().pinned_bytes, cap);
-    }
-    EXPECT_GT(rc.stats().evictions, 0u);
-
-    // Switch to EagerPin (still a caching mode): the bound keeps holding
-    // for new acquisitions.
-    rc.set_strategy(RegStrategy::EagerPin);
-    for (int i = 8; i < 16; ++i) {
-      rc.release(rc.acquire(m.va_base + i * 128 * kKiB, 64 * kKiB));
-      EXPECT_LE(rc.stats().pinned_bytes, cap);
-    }
-
-    // Switch to Deactivated: idle cached registrations are retired at
-    // once, so nothing stays pinned between transfers.
-    rc.set_strategy(RegStrategy::Deactivated);
-    EXPECT_EQ(rc.stats().pinned_bytes, 0u);
-    EXPECT_EQ(rc.entries(), 0u);
-    const verbs::Mr mr = rc.acquire(m.va_base, 64 * kKiB);
-    rc.release(mr);
-    EXPECT_EQ(rc.stats().pinned_bytes, 0u);
-
-    // And back to LazyCache: caching resumes, cap still honoured.
-    rc.set_strategy(RegStrategy::LazyCache);
-    for (int i = 0; i < 8; ++i) {
-      rc.release(rc.acquire(m.va_base + i * 128 * kKiB, 64 * kKiB));
-      EXPECT_LE(rc.stats().pinned_bytes, cap);
-    }
-    EXPECT_GT(rc.entries(), 0u);
-  });
-}
-
-TEST(RegCacheStrategy, SwitchUnderInFlightTransferRetiresOnRelease) {
-  core::ClusterConfig cfg;
-  cfg.nodes = 1;
-  cfg.ranks_per_node = 1;
-  core::Cluster cluster(cfg);
-  cluster.run([](core::RankEnv& env) {
-    auto& m = env.space().map(1 * kMiB, mem::PageKind::Small);
-    regcache::RegCache& rc = env.rcache();
-    const verbs::Mr held = rc.acquire(m.va_base, 64 * kKiB);  // in flight
-    rc.set_strategy(RegStrategy::Deactivated);
-    // The reference-held registration survives the switch ...
-    EXPECT_EQ(rc.entries(), 1u);
-    // ... and is retired the moment its transfer releases it.
-    rc.release(held);
-    EXPECT_EQ(rc.entries(), 0u);
-    EXPECT_EQ(rc.stats().pinned_bytes, 0u);
-  });
-}
-
-// ---------------------------------------------------------------------------
 // Cluster integration: policy selection by name, and the acceptance
 // ordering — Adaptive beats SmallPageBaseline for >= 64 KB messages in
 // the registration-sensitive IMB SendRecv configuration.
@@ -351,6 +260,32 @@ std::vector<workloads::ImbPoint> run_fig5_policy(const std::string& policy) {
   icfg.sizes = {64 * kKiB, 1 * kMiB, 4 * kMiB};
   icfg.iterations = 3;
   return workloads::run_sendrecv(cluster, icfg);
+}
+
+TEST(Cluster, EveryPolicyHonoursLazyDeregistrationOff) {
+  // With the pin-down cache off, no policy may keep a registration past
+  // its transfer: both ends of a 64 KB rendezvous unpin their buffers.
+  for (const PolicyInfo& info : registered_policies()) {
+    core::ClusterConfig cfg;
+    cfg.nodes = 2;
+    cfg.ranks_per_node = 1;
+    cfg.lazy_deregistration = false;
+    cfg.placement_policy = std::string(info.name);
+    core::Cluster cluster(cfg);
+    cluster.run([&](core::RankEnv& env) {
+      EXPECT_FALSE(env.rcache().lazy()) << info.name;
+      mpi::Comm comm(env);
+      const std::uint64_t pinned = env.space().pinned_pages();
+      const VirtAddr sbuf = env.alloc(64 * kKiB);
+      const VirtAddr rbuf = env.alloc(64 * kKiB);
+      const int other = 1 - env.rank();
+      comm.sendrecv(sbuf, 64 * kKiB, other, 0, rbuf, 64 * kKiB, other, 0);
+      EXPECT_GT(env.rcache().stats().misses, 0u) << info.name;
+      EXPECT_EQ(env.rcache().entries(), 0u) << info.name;
+      EXPECT_EQ(env.space().pinned_pages(), pinned)
+          << info.name << ": a registration outlived its transfer";
+    });
+  }
 }
 
 TEST(Cluster, AdaptiveBeatsSmallPageBaselineAt64KAndUp) {

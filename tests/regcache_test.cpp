@@ -137,101 +137,6 @@ TEST(RegCache, PinnedBytesPeakTracksGrowth) {
   });
 }
 
-}  // namespace
-}  // namespace ibp::regcache
-
-namespace ibp::regcache {
-namespace {
-
-void with_capped_env(std::uint64_t cap,
-                     const std::function<void(core::RankEnv&)>& fn) {
-  core::ClusterConfig cfg;
-  cfg.nodes = 1;
-  cfg.ranks_per_node = 1;
-  cfg.lazy_deregistration = true;
-  cfg.regcache_capacity_bytes = cap;
-  core::Cluster cluster(cfg);
-  cluster.run(fn);
-}
-
-TEST(RegCacheCapacity, EvictsLruWhenOverBound) {
-  with_capped_env(2 * kMiB, [](core::RankEnv& env) {
-    auto& m = env.space().map(8 * kMiB, mem::PageKind::Small);
-    RegCache& rc = env.rcache();
-    // Three 1 MB regions: the third acquire must evict the first.
-    const verbs::Mr a = rc.acquire(m.va_base, 1 * kMiB);
-    rc.release(a);
-    const verbs::Mr b = rc.acquire(m.va_base + 2 * kMiB, 1 * kMiB);
-    rc.release(b);
-    const verbs::Mr c = rc.acquire(m.va_base + 4 * kMiB, 1 * kMiB);
-    rc.release(c);
-    EXPECT_EQ(rc.stats().evictions, 1u);
-    EXPECT_LE(rc.stats().pinned_bytes, 2 * kMiB);
-    // The evicted (oldest) region misses again; the newest still hits.
-    rc.release(rc.acquire(m.va_base + 4 * kMiB, 1 * kMiB));
-    EXPECT_EQ(rc.stats().hits, 1u);
-    rc.release(rc.acquire(m.va_base, 1 * kMiB));
-    EXPECT_EQ(rc.stats().misses, 4u);
-  });
-}
-
-TEST(RegCacheCapacity, BusyEntriesAreNotEvicted) {
-  with_capped_env(2 * kMiB, [](core::RankEnv& env) {
-    auto& m = env.space().map(8 * kMiB, mem::PageKind::Small);
-    RegCache& rc = env.rcache();
-    // Hold both resident entries (simulating in-flight transfers).
-    const verbs::Mr a = rc.acquire(m.va_base, 1 * kMiB);
-    const verbs::Mr b = rc.acquire(m.va_base + 2 * kMiB, 1 * kMiB);
-    // Over-capacity acquire: nothing evictable, bound exceeded briefly.
-    const verbs::Mr c = rc.acquire(m.va_base + 4 * kMiB, 1 * kMiB);
-    EXPECT_EQ(rc.stats().evictions, 0u);
-    EXPECT_GT(rc.stats().pinned_bytes, 2 * kMiB);
-    rc.release(a);
-    rc.release(b);
-    rc.release(c);
-    // Now the next acquire can evict.
-    rc.release(rc.acquire(m.va_base + 6 * kMiB, 1 * kMiB));
-    EXPECT_GT(rc.stats().evictions, 0u);
-  });
-}
-
-TEST(RegCacheCapacity, UnlimitedNeverEvicts) {
-  with_capped_env(0, [](core::RankEnv& env) {
-    auto& m = env.space().map(16 * kMiB, mem::PageKind::Small);
-    RegCache& rc = env.rcache();
-    for (int i = 0; i < 8; ++i)
-      rc.release(rc.acquire(m.va_base + static_cast<std::uint64_t>(i) * 2 * kMiB,
-                            1 * kMiB));
-    EXPECT_EQ(rc.stats().evictions, 0u);
-    EXPECT_EQ(rc.entries(), 8u);
-  });
-}
-
-TEST(RegCacheCapacity, EndToEndTransfersUnderTightBound) {
-  // Full MPI rendezvous traffic with a cache smaller than one buffer:
-  // every transfer re-registers, but nothing breaks mid-flight.
-  core::ClusterConfig cfg;
-  cfg.nodes = 2;
-  cfg.ranks_per_node = 1;
-  cfg.regcache_capacity_bytes = 256 * kKiB;
-  core::Cluster cluster(cfg);
-  cluster.run([](core::RankEnv& env) {
-    mpi::Comm comm(env);
-    constexpr std::uint64_t kLen = 1 * kMiB;
-    // Cycle through more distinct buffers than the cache can hold.
-    VirtAddr bufs[6];
-    for (auto& b : bufs) b = env.alloc(kLen);
-    const int other = 1 - env.rank();
-    for (int round = 0; round < 3; ++round)
-      for (int i = 0; i < 3; ++i)
-        comm.sendrecv(bufs[i], kLen, other, i, bufs[3 + i], kLen, other, i);
-    EXPECT_GT(env.rcache().stats().evictions, 0u);
-    // The bound holds once transfers drain (one in-flight pair may exceed
-    // it transiently).
-    EXPECT_LE(env.rcache().stats().pinned_bytes, 2 * kMiB + 256 * kKiB);
-  });
-}
-
 TEST(RegCache, SameBaseWiderHullRetiresNarrowerRegistration) {
   // Two acquires whose page-aligned hulls start at the same base but span
   // a different number of pages collide on the cache key; the wider
@@ -254,82 +159,35 @@ TEST(RegCache, SameBaseWiderHullRetiresNarrowerRegistration) {
   });
 }
 
-TEST(RegCache, ShardedCacheHitsLikeSingleShard) {
+TEST(RegCache, InFlightCountsUnreleasedAcquires) {
   with_env(true, [](core::RankEnv& env) {
-    auto& m1 = env.space().map(1 * kMiB, mem::PageKind::Small);
-    auto& m2 = env.space().map(1 * kMiB, mem::PageKind::Small);
-    RegCache rc(env.verbs(), RegCache::RegStrategy::LazyCache, 0, 4);
-    EXPECT_EQ(rc.shards(), 4u);
-    const verbs::Mr a = rc.acquire(m1.va_base, 64 * kKiB);
-    const verbs::Mr b = rc.acquire(m2.va_base, 64 * kKiB);
+    auto& m = env.space().map(1 * kMiB, mem::PageKind::Small);
+    RegCache& rc = env.rcache();
+    const verbs::Mr a = rc.acquire(m.va_base, 64 * kKiB);
+    const verbs::Mr b = rc.acquire(m.va_base + 4 * kKiB, 4 * kKiB);  // hit
+    EXPECT_EQ(rc.in_flight(), 2u);
     rc.release(a);
     rc.release(b);
-    EXPECT_EQ(rc.acquire(m1.va_base, 64 * kKiB).lkey, a.lkey);
-    EXPECT_EQ(rc.acquire(m2.va_base, 64 * kKiB).lkey, b.lkey);
-    EXPECT_EQ(rc.stats().hits, 2u);
-    EXPECT_EQ(rc.stats().misses, 2u);
-    rc.flush();
+    EXPECT_EQ(rc.in_flight(), 0u);
+    EXPECT_EQ(rc.entries(), 1u) << "lazy release keeps the registration";
   });
 }
 
-TEST(RegCache, ShardedCapacityEvictsGlobalLru) {
-  with_env(true, [](core::RankEnv& env) {
-    auto& m1 = env.space().map(2 * kMiB, mem::PageKind::Small);
-    auto& m2 = env.space().map(2 * kMiB, mem::PageKind::Small);
-    // Capacity for two 1 MiB registrations; the third acquire must evict
-    // the least-recently-used idle entry regardless of which shard it
-    // lives in.
-    RegCache rc(env.verbs(), RegCache::RegStrategy::LazyCache, 2 * kMiB, 4);
-    rc.release(rc.acquire(m1.va_base, 1 * kMiB));
-    rc.release(rc.acquire(m2.va_base, 1 * kMiB));
-    rc.release(rc.acquire(m1.va_base + 1 * kMiB, 1 * kMiB));
-    EXPECT_EQ(rc.stats().evictions, 1u);
-    EXPECT_LE(rc.stats().pinned_bytes, 2 * kMiB);
-    // The m1-base entry was oldest; re-acquiring it must miss.
-    rc.release(rc.acquire(m1.va_base, 1 * kMiB));
-    EXPECT_EQ(rc.stats().misses, 4u);
-    rc.flush();
-  });
-}
-
-TEST(RegCache, DeactivatedSwitchRetiresInFlightOnRelease) {
-  with_env(true, [](core::RankEnv& env) {
-    auto& m = env.space().map(1 * kMiB, mem::PageKind::Small);
-    RegCache rc(env.verbs(), RegCache::RegStrategy::LazyCache);
-    const verbs::Mr held = rc.acquire(m.va_base, 64 * kKiB);
-    rc.set_strategy(RegCache::RegStrategy::Deactivated);
-    EXPECT_EQ(rc.entries(), 1u) << "reference-held entries survive switch";
-    // Flip back to caching before the transfer finishes: the doomed
-    // generation must still retire at release.
-    rc.set_strategy(RegCache::RegStrategy::LazyCache);
-    rc.release(held);
-    EXPECT_EQ(rc.entries(), 0u)
-        << "generation retirement must fire despite the flip-back";
-    EXPECT_EQ(rc.stats().retirements, 1u);
-    EXPECT_EQ(rc.stats().pinned_bytes, 0u);
-    // New registrations after the flip-back are a fresh generation.
-    const verbs::Mr fresh = rc.acquire(m.va_base, 64 * kKiB);
-    rc.release(fresh);
-    EXPECT_EQ(rc.entries(), 1u) << "post-switch entries must stay cached";
-    rc.flush();
-  });
-}
-
-TEST(RegCache, DoomedEntryIsNotAHit) {
-  with_env(true, [](core::RankEnv& env) {
-    auto& m = env.space().map(1 * kMiB, mem::PageKind::Small);
-    RegCache rc(env.verbs(), RegCache::RegStrategy::LazyCache);
-    const verbs::Mr held = rc.acquire(m.va_base, 64 * kKiB);
-    rc.set_strategy(RegCache::RegStrategy::Deactivated);
-    rc.set_strategy(RegCache::RegStrategy::LazyCache);
-    // The held entry still covers this range but is doomed — the acquire
-    // must register afresh instead of extending the doomed pin.
-    const verbs::Mr b = rc.acquire(m.va_base, 4 * kKiB);
-    EXPECT_EQ(rc.stats().hits, 0u);
-    EXPECT_EQ(rc.stats().misses, 2u);
-    rc.release(held);
-    rc.release(b);
-    rc.flush();
+TEST(RegCache, RendezvousTransfersReleaseEveryAcquire) {
+  core::ClusterConfig cfg;
+  cfg.nodes = 2;
+  cfg.ranks_per_node = 1;
+  core::Cluster cluster(cfg);
+  cluster.run([](core::RankEnv& env) {
+    mpi::Comm comm(env);
+    constexpr std::uint64_t kLen = 1 * kMiB;
+    const VirtAddr sbuf = env.alloc(kLen);
+    const VirtAddr rbuf = env.alloc(kLen);
+    const int other = 1 - env.rank();
+    for (int i = 0; i < 3; ++i)
+      comm.sendrecv(sbuf, kLen, other, i, rbuf, kLen, other, i);
+    EXPECT_GT(env.rcache().stats().hits, 0u);
+    EXPECT_EQ(env.rcache().in_flight(), 0u);
   });
 }
 

@@ -260,7 +260,8 @@ TEST(Telemetry, GatherSplitsHonourPlanSgeCapAndCount) {
   core::Cluster cluster(telemetry_cluster(2, 1));
   std::uint64_t splits = 0;
   cluster.run([&](core::RankEnv& env) {
-    env.placement().set_policy(std::make_unique<TinySgePolicy>());
+    env.placement().set_role_policy(placement::Role::EagerSend,
+                                    std::make_unique<TinySgePolicy>());
     mpi::CommConfig ccfg;
     ccfg.sge_gather = true;
     mpi::Comm comm(env, ccfg);
