@@ -245,7 +245,6 @@ void json_result(std::ofstream& out, const RunOut& r, const char* indent) {
       << indent << " \"shed_total\": "
       << static_cast<std::uint64_t>(r.shed_total_metric)
       << ", \"credit_stalls\": " << r.links.credit_stalls
-      << ", \"qos_stalls\": " << r.links.qos_stalls
       << ", \"retries\": " << r.links.retries;
   if (!g_plan.empty()) {
     // Failover fields only appear on faulted runs, keeping the default

@@ -195,7 +195,6 @@ void json_result(std::ofstream& out, const char* key, const RunOut& r,
       << "  \"shed_total\": " << static_cast<std::uint64_t>(
              r.shed_total_metric)
       << ", \"credit_stalls\": " << r.client.credit_stalls
-      << ", \"qos_stalls\": " << r.client.qos_stalls
       << ", \"retries\": " << r.client.retries
       << ", \"trace_hash\": \"" << hash << "\"}";
 }

@@ -41,14 +41,7 @@ RankEnv::RankEnv(Cluster& cluster, sim::Context& sc, RankState& st)
       st_(&st),
       vctx_(sc, st.space, st.node->adapter, cluster.config().driver,
             &st.send_cq, &st.recv_cq),
-      rcache_(vctx_,
-              // The plan's registration strategy for a representative
-              // rendezvous buffer picks the cache mode (every policy maps
-              // lazy_deregistration to LazyCache/Deactivated exactly).
-              st.placement
-                  ->plan({.size = 64 * kKiB,
-                          .role = placement::Role::Rendezvous})
-                  .registration) {
+      rcache_(vctx_, cluster.config().lazy_deregistration) {
   if (sim::Tracer* t = cluster.tracer()) {
     st.placement->set_tracer(t, st.id, [this] { return sc_->now(); });
   }

@@ -126,7 +126,6 @@ struct RankState {
           ctx.huge_threshold = cfg.library.threshold;
           ctx.chunk = cfg.library.huge.chunk;
           ctx.hugepages_enabled = cfg.hugepage_library;
-          ctx.lazy_dereg = cfg.lazy_deregistration;
           auto engine = std::make_unique<placement::PlacementEngine>(
               std::move(policy), ctx);
           for (const auto& [role_name, policy_name] :

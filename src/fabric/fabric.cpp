@@ -197,7 +197,6 @@ rpc::ClientStats FabricClient::link_stats() const {
     sum.shed += s.shed;
     sum.large_responses += s.large_responses;
     sum.credit_stalls += s.credit_stalls;
-    sum.qos_stalls += s.qos_stalls;
     sum.retries += s.retries;
     sum.duplicates += s.duplicates;
   }

@@ -355,8 +355,9 @@ class FabricClient {
   ShardMap map_;
   std::vector<std::unique_ptr<rpc::RpcClient>> links_;
   /// What the blocking steps name: the transport's request Wakers
-  /// (response receives; the rank's activity also covers deadlines and
-  /// probe times) and every link's response ring's.
+  /// (transport events and response receives) and every link's response
+  /// ring's. The link deadlines and probe times they read change only on
+  /// the blocking lane itself, which re-reads them when it next waits.
   std::vector<Waker*> block_wakers_;
   std::map<std::pair<std::uint32_t, std::uint64_t>, SubKey> sub_;  // by
                                                                    // (link,

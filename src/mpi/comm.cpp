@@ -80,7 +80,7 @@ void Comm::collect_wakers() {
     if (ch != nullptr) wakers_.push_back(&ch->waker());
   for (const auto& rx : ring_rx_) wakers_.push_back(&rx->waker());
   for (const auto& tx : ring_tx_) wakers_.push_back(&tx->credit_waker());
-  wakers_.push_back(&env_->sim().rank_activity());
+  wakers_.push_back(&request_waker_);
 }
 
 void Comm::setup_rings() {
@@ -208,7 +208,6 @@ placement::BufferPlan Comm::plan_message(std::uint64_t len,
   ctx.eager_threshold = cfg_.eager_threshold;
   ctx.rndv_copy_max = cfg_.rndv_copy_max;
   ctx.sge_gather_enabled = cfg_.sge_gather;
-  ctx.lazy_dereg = env_->rcache().lazy();
   return env_->placement().plan(
       {.size = len, .role = role, .pieces = pieces}, ctx);
 }
@@ -234,6 +233,7 @@ int Comm::take_send_slot() {
     if (!free_send_slots_.empty()) {
       const int s = free_send_slots_.back();
       free_send_slots_.pop_back();
+      request_waker_.wake();
       return s;
     }
     const auto ready = [this]() -> std::optional<TimePs> {
@@ -250,6 +250,12 @@ int Comm::take_send_slot() {
 void Comm::release_send_slot(int slot) {
   free_send_slots_.push_back(slot);
   send_slot_free_t_ = env_->now();
+  request_waker_.wake();
+}
+
+void Comm::finish(const Req& r) {
+  r->finish(env_->now());
+  request_waker_.wake();
 }
 
 // ---------------------------------------------------------------------------
@@ -273,7 +279,7 @@ void Comm::transport_send(int peer, const Header& hdr_in,
     env_->sim().advance(ch->push(std::move(blob), env_->now()));
     // No CQE on the shm path: the handoff is complete once copied in.
     IBP_CHECK(!action.rdma_fin, "rendezvous RDMA is IB-only");
-    if (action.req) action.req->finish(env_->now());
+    if (action.req) finish(action.req);
     return;
   }
 
@@ -446,7 +452,7 @@ Req Comm::isend(VirtAddr buf, std::uint64_t len, int dst, int tag) {
     auto payload = len ? env_->space().host_span(buf, len)
                        : std::span<const std::uint8_t>{};
     handle_msg(hdr, payload);
-    r->finish(env_->now());
+    finish(r);
     return r;
   }
 
@@ -459,7 +465,7 @@ Req Comm::isend(VirtAddr buf, std::uint64_t len, int dst, int tag) {
     auto payload = len ? env_->space().host_span(buf, len)
                        : std::span<const std::uint8_t>{};
     transport_send(dst, hdr, payload, {});
-    r->finish(env_->now());
+    finish(r);
     return r;
   }
 
@@ -471,7 +477,7 @@ Req Comm::isend(VirtAddr buf, std::uint64_t len, int dst, int tag) {
     hdr.kind = static_cast<std::uint32_t>(MsgKind::Eager);
     if (cfg_.rdma_eager && try_ring_send(dst, hdr, buf, len)) {
       // Ring writes complete locally once the record is staged.
-      r->finish(env_->now());
+      finish(r);
       return r;
     }
     ++stats_.eager_sent;
@@ -481,7 +487,7 @@ Req Comm::isend(VirtAddr buf, std::uint64_t len, int dst, int tag) {
                        : std::span<const std::uint8_t>{};
     transport_send(dst, hdr, payload, {});
     // Eager sends complete locally once the payload left the user buffer.
-    r->finish(env_->now());
+    finish(r);
     return r;
   }
 
@@ -950,7 +956,7 @@ void Comm::handle_msg(const Header& hdr,
       r->received = hdr.size;
       r->actual_src = hdr.src;
       r->actual_tag = hdr.tag;
-      r->finish(env_->now());
+      finish(r);
       return;
     }
     case MsgKind::FinRead: {
@@ -965,7 +971,7 @@ void Comm::handle_msg(const Header& hdr,
         env_->rcache().release(r->mr);
         r->holds_mr = false;
       }
-      r->finish(env_->now());
+      finish(r);
       return;
     }
   }
@@ -1021,7 +1027,7 @@ void Comm::handle_send_cqe(const hca::Cqe& cqe) {
     fin.size = action.msg_size;
     fin.req = action.peer_req;
     r->received = action.msg_size;
-    r->finish(env_->now());
+    finish(r);
     transport_send(action.peer_rank, fin, {}, {});
     return;
   }
@@ -1038,10 +1044,10 @@ void Comm::handle_send_cqe(const hca::Cqe& cqe) {
     fin.size = action.req->len;
     fin.req = action.req->id;
     const int dst = action.req->peer;
-    action.req->finish(env_->now());
+    finish(action.req);
     transport_send(dst, fin, {}, {});
   } else if (action.req) {
-    action.req->finish(env_->now());
+    finish(action.req);
   }
 }
 
@@ -1101,7 +1107,7 @@ void Comm::complete_eager_recv(const Req& r, const Header& hdr,
   r->received = payload.size();
   r->actual_src = hdr.src;
   r->actual_tag = hdr.tag;
-  r->finish(env_->now());
+  finish(r);
 }
 
 void Comm::start_rndv_recv(const Req& r, const Header& hdr) {

@@ -231,6 +231,7 @@ class Comm {
   bool same_node(int peer) const;
   int take_send_slot();
   void release_send_slot(int slot);
+  void finish(const Req& r);  // completes `r` now
   VirtAddr send_slot_va(int slot) const;
   VirtAddr recv_slot_va(int peer_index, int slot) const;
 
@@ -273,10 +274,11 @@ class Comm {
   }
 
   /// What a wait on this Comm's events and requests names: the Waker of
-  /// every source earliest_event_time() reads, and the rank's activity.
-  /// Another track's progress completes a request only after the poll
-  /// that popped its event has yielded, so no event source fires at the
-  /// completion itself.
+  /// every source earliest_event_time() reads, and the Comm's request
+  /// Waker, which fires when a request finishes and when a send slot is
+  /// taken or freed. Another track's progress completes a request only
+  /// after the poll that popped its event has yielded, so the completion
+  /// fires a Waker of its own.
   std::span<Waker* const> request_wakers() const { return wakers_; }
 
   /// Post a one-sided work request on the RC QP to `peer` under this
@@ -394,6 +396,7 @@ class Comm {
   std::vector<std::unique_ptr<ringchan::RingSender>> ring_tx_;
   bool ring_polling_ = false;  // reentrancy guard (progress re-entered
                                // from a handler keeps release order)
+  Waker request_waker_;  // a request finished, a send slot changed hands
   std::vector<Waker*> wakers_;  // request_wakers()
 
   // Matching.

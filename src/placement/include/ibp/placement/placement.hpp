@@ -5,15 +5,16 @@
 // The paper's thesis is that *data placement strategy* — hugepage vs 4 KB
 // backing (§3), intra-page offset and alignment (§4), SGE aggregation
 // (§4/§7), registration behaviour (§5.1) — drives InfiniBand
-// communication performance. Before this layer existed those decisions
-// were hard-coded in five places (the 32 KB tier threshold in the
-// hugepage library, the eager/rendezvous/sge branches in mpi::Comm, the
-// lazy-pin flag in regcache, ad-hoc knobs in the ablation benches). The
-// PlacementEngine consolidates them: given a buffer request (size, role,
-// datatype layout) it returns a BufferPlan — backing page size,
-// chunking, protocol, SGE layout, registration strategy — behind a
-// pluggable Policy interface, the way MPICH2-over-InfiniBand keeps its
-// protocol/registration choices in one tunable layer.
+// communication performance. Before this layer existed the placement
+// decisions were hard-coded in four places (the 32 KB tier threshold in
+// the hugepage library, the eager/rendezvous/sge branches in mpi::Comm,
+// ad-hoc knobs in the ablation benches). The PlacementEngine consolidates
+// them: given a buffer request (size, role, datatype layout) it returns a
+// BufferPlan — backing page size, chunking, protocol, SGE layout — behind
+// a pluggable Policy interface, the way MPICH2-over-InfiniBand keeps its
+// protocol choices in one tunable layer. Registration behaviour is one
+// cluster-wide switch, not a plan: ClusterConfig::lazy_deregistration
+// goes straight to each rank's regcache::RegCache (Figure 5).
 //
 // Policies:
 //   * PaperDefault       — exactly the paper's published behaviour
@@ -55,19 +56,11 @@ enum class Role : std::uint8_t {
 };
 inline constexpr int kRoleCount = 10;
 
-/// How a buffer's memory registration is managed: the paper's two
-/// measured configurations (Figure 5).
-enum class RegStrategy : std::uint8_t {
-  LazyCache,    // pin-down cache with lazy deregistration (Tezuka et al.)
-  Deactivated,  // register per transfer, deregister at completion
-};
-
 /// Message protocol for a send of a given size.
 enum class Protocol : std::uint8_t { Eager, RndvCopy, RndvRdma };
 inline constexpr int kProtocolCount = 3;
 
 const char* role_name(Role r);
-const char* reg_strategy_name(RegStrategy s);
 const char* protocol_name(Protocol p);
 
 /// Inverse of role_name (for config parsing); nullopt for unknown names.
@@ -98,8 +91,6 @@ struct BufferPlan {
   bool sge_gather = false;
   /// Cap on SGEs per work request when gathering.
   std::uint32_t max_sges = 128;
-  /// Registration strategy for the buffer.
-  RegStrategy registration = RegStrategy::LazyCache;
 };
 
 /// The tunables of the consumer layers a policy decides against. A policy
@@ -111,7 +102,6 @@ struct PolicyContext {
   std::uint64_t rndv_copy_max = 16 * kKiB;   // rendezvous-copy ceiling
   bool hugepages_enabled = false;  // hugepage library preloaded
   bool sge_gather_enabled = false; // SGE gather sends available
-  bool lazy_dereg = true;          // pin-down cache active
 };
 
 /// One observation fed back into an adaptive policy (sourced from
@@ -148,8 +138,8 @@ class Policy {
 
 /// The paper's exact behaviour: hugepages at/above the 32 KB threshold
 /// when the library is preloaded, 4 KB chunks, eager <= 8 KB, rendezvous
-/// copy <= 16 KB, RDMA above, lazy pin-down caching when enabled. Plans
-/// are bit-exact with the pre-engine hard-coded branches.
+/// copy <= 16 KB, RDMA above. Plans are bit-exact with the pre-engine
+/// hard-coded branches.
 class PaperDefaultPolicy : public Policy {
  public:
   std::string_view name() const override { return "paper-default"; }

@@ -47,14 +47,6 @@ std::optional<Role> role_from_name(std::string_view name) {
   return std::nullopt;
 }
 
-const char* reg_strategy_name(RegStrategy s) {
-  switch (s) {
-    case RegStrategy::LazyCache: return "lazy-cache";
-    case RegStrategy::Deactivated: return "deactivated";
-  }
-  return "?";
-}
-
 const char* protocol_name(Protocol p) {
   switch (p) {
     case Protocol::Eager: return "eager";
@@ -92,8 +84,6 @@ BufferPlan PaperDefaultPolicy::plan(const BufferRequest& req,
   // SGE gathering: mirrors Comm::send_typed — gather whenever the feature
   // is on and the message fits the eager path (even single-piece sends).
   p.sge_gather = ctx.sge_gather_enabled && req.size <= ctx.eager_threshold;
-  p.registration =
-      ctx.lazy_dereg ? RegStrategy::LazyCache : RegStrategy::Deactivated;
   return p;
 }
 
@@ -302,8 +292,7 @@ BufferPlan PlacementEngine::plan(const BufferRequest& req,
     std::ostringstream name;
     name << pol.name() << ' ' << role_name(req.role) << ' ' << req.size
          << "B -> " << backing_name(p.backing) << '/'
-         << protocol_name(p.protocol) << '/'
-         << reg_strategy_name(p.registration);
+         << protocol_name(p.protocol);
     tracer_->mark(rank_, "placement", name.str(), clock_());
   }
   return p;

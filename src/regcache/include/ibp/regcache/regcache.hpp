@@ -29,7 +29,6 @@
 
 #include "ibp/common/check.hpp"
 #include "ibp/common/types.hpp"
-#include "ibp/placement/placement.hpp"
 #include "ibp/verbs/verbs.hpp"
 
 namespace ibp::regcache {
@@ -45,10 +44,7 @@ struct CacheStats {
 
 class RegCache {
  public:
-  using RegStrategy = placement::RegStrategy;
-
-  RegCache(verbs::Context& vctx, RegStrategy strategy)
-      : vctx_(&vctx), lazy_(strategy == RegStrategy::LazyCache) {}
+  RegCache(verbs::Context& vctx, bool lazy) : vctx_(&vctx), lazy_(lazy) {}
 
   ~RegCache() {
     // Leave MRs registered; the owning simulation tears the world down

@@ -138,15 +138,6 @@ struct RpcConfig {
   /// Application service time: base + per-byte over the request payload.
   TimePs service_base = us(2);
   std::uint64_t service_per_byte_ps = 250;  // 250 ps/B = 4 GB/s
-  /// Per-tenant QoS: with either nonzero, Latency and Bulk requests draw
-  /// from distinct per-tenant credit pools (latency_credits and
-  /// bulk_credits un-responded requests per tenant and class) instead of
-  /// competing for the shared window alone, so a bulk-heavy tenant can
-  /// never starve latency-class credits. `credits` stays a hard cap on
-  /// total inflight either way. Both zero (the default) is the legacy
-  /// shared-pool behaviour, bit-exact with earlier runs.
-  std::uint32_t latency_credits = 0;
-  std::uint32_t bulk_credits = 0;
   /// Request timeout: an un-responded request older than this (measured
   /// from its flush, doubling on every attempt) is retransmitted, up to
   /// max_retries times. The transport never loses a message end-to-end
@@ -210,8 +201,6 @@ struct ClientStats {
   std::uint64_t shed = 0;  // completions with Status::Overloaded
   std::uint64_t large_responses = 0;
   std::uint64_t credit_stalls = 0;  // flushes deferred for want of credits
-  std::uint64_t qos_stalls = 0;     // queued requests skipped for want of
-                                    // per-tenant class credits
   std::uint64_t retries = 0;        // timed-out requests retransmitted
   std::uint64_t duplicates = 0;     // late responses dropped after a retry
   std::uint64_t timed_out = 0;      // requests failed with Status::TimedOut
@@ -367,7 +356,6 @@ class RpcClient {
     std::uint32_t slot = 0;
     std::uint64_t wire = 0;  // header + payload bytes
     TimePs t = 0;            // submit time (latency zero point)
-    std::uint32_t tenant = 0;
     bool retry = false;  // retransmission of an already-inflight id
   };
   struct Inflight {
@@ -398,8 +386,6 @@ class RpcClient {
   /// Flush queued requests while thresholds (or `force`) say so and
   /// credits allow. Latency-class requests flush ahead of bulk.
   void maybe_flush(bool force);
-  /// QoS admission: may this queued request be put on the wire now?
-  bool class_credit_ok(const Pending& p, int cls) const;
   /// Retransmit inflight requests whose timeout deadline passed.
   void check_timeouts();
   /// Complete inflight request `id` locally with Status::TimedOut.
@@ -436,9 +422,6 @@ class RpcClient {
   std::deque<Pending> queued_[2];  // unsent, by class
   std::uint64_t queued_bytes_ = 0;
   std::map<std::uint64_t, Inflight> inflight_;
-  /// Per-(tenant, class) inflight counts; only maintained under QoS.
-  std::map<std::pair<std::uint32_t, std::uint8_t>, std::uint32_t>
-      class_inflight_;
   std::vector<SentBatch> sent_;
   bool reclaiming_ = false;  // reclaim_batches is not reentrant
   mpi::Req rsp_req_;  // posted iff inflight work may still answer
@@ -462,9 +445,12 @@ class RpcClient {
   std::unique_ptr<ringchan::RingReceiver> ring_rx_;
   std::vector<ringchan::RingReceiver::Record> ring_recs_;  // poll scratch
   Waker completion_waker_;
+  /// Fires when a flush arms a request deadline: a sibling track's
+  /// submit may flush while the poll loop's blocking ingest waits.
+  Waker deadline_waker_;
   /// What the blocking ingest waits name: the transport's request Wakers
-  /// (response receives; the rank's activity also covers the deadlines)
-  /// and the response ring's.
+  /// (transport events and the response receive), the deadlines' and the
+  /// response ring's.
   std::vector<Waker*> block_wakers_;
 };
 
@@ -576,6 +562,9 @@ class RpcServer {
   void worker_main(sim::Context& sc, std::uint32_t w);
   /// Earliest accepted-at time among queued items (worker wakeup).
   std::optional<TimePs> earliest_work() const;
+  /// A worker's signal to the dispatcher: raise worker_event_ to `t`
+  /// unless a signal is already pending.
+  void signal_dispatcher(TimePs t);
   void drain_handoffs();
   RspLane& worker_lane(std::uint32_t w);
   void make_lane(RspLane& lane);
@@ -610,6 +599,8 @@ class RpcServer {
   TimePs stop_time_ = 0;
   TimePs worker_event_ = 0;  // earliest un-acknowledged worker signal
   Waker admission_;          // fires when queues_ or stopping_ change
+  Waker worker_signal_;      // fires when a worker pushes to handoffs_ or
+                             // raises worker_event_
   ServerStats stats_;
   std::vector<telemetry::ProbeHandle> probes_;
   /// Per-client ring sender halves (cfg_.rdma_response); an entry stays

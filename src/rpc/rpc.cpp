@@ -108,6 +108,7 @@ RpcClient::RpcClient(mpi::Comm& comm, int server, RpcConfig cfg)
   }
   const std::span<Waker* const> request = comm_->request_wakers();
   block_wakers_.assign(request.begin(), request.end());
+  block_wakers_.push_back(&deadline_waker_);
   if (Waker* w = ring_waker()) block_wakers_.push_back(w);
 }
 
@@ -163,7 +164,7 @@ std::uint64_t RpcClient::submit(std::span<const std::uint8_t> payload,
         hub_->begin(comm_->rank(), tenant, h.cls, env.now());
     hub_->bind_wire(tr, comm_->rank(), server_, h.id);
   }
-  queued_[h.cls].push_back({h.id, slot, wire, env.now(), tenant, false});
+  queued_[h.cls].push_back({h.id, slot, wire, env.now(), false});
   queued_bytes_ += wire;
   ++stats_.submitted;
   maybe_flush(false);
@@ -190,19 +191,9 @@ void RpcClient::reclaim_batches() {
   reclaiming_ = false;
 }
 
-bool RpcClient::class_credit_ok(const Pending& p, int cls) const {
-  const std::uint32_t pool =
-      cls == 0 ? cfg_.latency_credits : cfg_.bulk_credits;
-  if (pool == 0) return true;  // class unbounded; cfg_.credits still caps
-  const auto it =
-      class_inflight_.find({p.tenant, static_cast<std::uint8_t>(cls)});
-  return it == class_inflight_.end() || it->second < pool;
-}
-
 void RpcClient::maybe_flush(bool force) {
   core::RankEnv& env = comm_->env();
   const std::uint32_t nmax = cfg_.batching ? cfg_.max_batch_requests : 1;
-  const bool qos = cfg_.latency_credits != 0 || cfg_.bulk_credits != 0;
   for (;;) {
     const std::uint64_t nq = queued_[0].size() + queued_[1].size();
     if (nq == 0) return;
@@ -224,30 +215,14 @@ void RpcClient::maybe_flush(bool force) {
     std::vector<std::uint32_t> slots;
     std::vector<std::uint64_t> fresh_traces;
     std::uint64_t bytes = 0;
-    bool qos_blocked = false;
     while (segs.size() < nmax && segs.size() < room) {
-      // First eligible request, latency class first: retransmits are
-      // always eligible (their credit is already held), fresh requests
-      // must clear their per-tenant class pool.
-      int cls = -1;
-      std::size_t idx = 0;
-      for (int c = 0; c < 2 && cls < 0; ++c) {
-        const std::deque<Pending>& q = queued_[c];
-        for (std::size_t i = 0; i < q.size(); ++i) {
-          if (!q[i].retry && qos && !class_credit_ok(q[i], c)) {
-            qos_blocked = true;
-            continue;
-          }
-          cls = c;
-          idx = i;
-          break;
-        }
-      }
-      if (cls < 0) break;
-      std::deque<Pending>& q = queued_[cls];
-      if (!segs.empty() && bytes + q[idx].wire > cfg_.max_batch_bytes) break;
-      const Pending p = q[idx];
-      q.erase(q.begin() + static_cast<std::ptrdiff_t>(idx));
+      // The front of the latency queue, or else of the bulk queue.
+      std::deque<Pending>& q = queued_[queued_[0].empty() ? 1 : 0];
+      if (q.empty()) break;
+      if (!segs.empty() && bytes + q.front().wire > cfg_.max_batch_bytes)
+        break;
+      const Pending p = q.front();
+      q.pop_front();
       queued_bytes_ -= p.wire;
       if (p.retry && inflight_.find(p.id) == inflight_.end()) {
         // The original answered while this retransmit sat queued.
@@ -271,19 +246,19 @@ void RpcClient::maybe_flush(bool force) {
               slot_va(p.slot) + sizeof(WireHeader), h.payload);
           inf.payload.assign(pp, pp + h.payload);
         }
-        if (qos) ++class_inflight_[{inf.tenant, inf.cls}];
         if (hub_ != nullptr && (h.flags & kFlagTraced) != 0) {
           inf.trace = hub_->wire_trace(comm_->rank(), server_, p.id);
           if (inf.trace != 0) fresh_traces.push_back(inf.trace);
         }
       }
       ++inf.attempts;
-      if (cfg_.request_timeout != 0)
+      if (cfg_.request_timeout != 0) {
         inf.deadline =
             env.now() + (cfg_.request_timeout
                          << std::min<std::uint32_t>(inf.attempts - 1, 10));
+        deadline_waker_.wake();
+      }
     }
-    if (qos_blocked && segs.empty()) ++stats_.qos_stalls;
     if (segs.empty()) return;
     flushed_records_ += segs.size();
     SentBatch b;
@@ -334,7 +309,7 @@ void RpcClient::check_timeouts() {
                   inf.payload.data(), inf.payload.size());
     const std::uint64_t wire = sizeof(WireHeader) + inf.payload.size();
     env.touch_stream(va, wire);
-    queued_[inf.cls & 1].push_back({id, slot, wire, inf.t0, inf.tenant, true});
+    queued_[inf.cls & 1].push_back({id, slot, wire, inf.t0, true});
     queued_bytes_ += wire;
     inf.deadline = 0;  // re-armed with backoff when the retransmit flushes
     ++stats_.retries;
@@ -357,11 +332,6 @@ void RpcClient::expire(std::uint64_t id) {
   // late response (the server was merely slow) still lands safely in the
   // duplicate path — the id stays in done_.
   expired_records_ += inf.attempts;
-  if (cfg_.latency_credits != 0 || cfg_.bulk_credits != 0) {
-    const auto ci = class_inflight_.find({inf.tenant, inf.cls});
-    if (ci != class_inflight_.end() && --ci->second == 0)
-      class_inflight_.erase(ci);
-  }
   if (inf.trace != 0) {
     hub_->stage_mark(inf.trace, telemetry::Stage::NetResponse, comm_->rank(),
                      env.now());
@@ -542,12 +512,6 @@ void RpcClient::parse_one(VirtAddr rec) {
   }
   const TimePs t0 = it->second.t0;
   const std::uint64_t trace = it->second.trace;
-  if (cfg_.latency_credits != 0 || cfg_.bulk_credits != 0) {
-    const auto ci =
-        class_inflight_.find({it->second.tenant, it->second.cls});
-    if (ci != class_inflight_.end() && --ci->second == 0)
-      class_inflight_.erase(ci);
-  }
   inflight_.erase(it);
   Completion c;
   c.id = h.id;
@@ -736,8 +700,6 @@ void RpcClient::register_metrics() {
   probes_.push_back(m.probe("rpc.credit_stalls", [this] {
     return double(stats_.credit_stalls);
   }));
-  probes_.push_back(
-      m.probe("rpc.qos_stalls", [this] { return double(stats_.qos_stalls); }));
   probes_.push_back(
       m.probe("rpc.retries", [this] { return double(stats_.retries); }));
   probes_.push_back(
@@ -1040,6 +1002,7 @@ void RpcServer::serve_item(const Item& it, std::vector<std::uint8_t>& scratch,
       h.t = env.now();
       h.body.assign(scratch.data(), scratch.data() + rlen);
       handoffs_.push_back(std::move(h));
+      worker_signal_.wake();
     } else {
       enqueue_response(lane, it.client, rsp, scratch.data());
     }
@@ -1057,6 +1020,7 @@ void RpcServer::serve_item(const Item& it, std::vector<std::uint8_t>& scratch,
       h.hdr = rsp;
       h.t = env.now();
       handoffs_.push_back(std::move(h));
+      worker_signal_.wake();
     } else {
       enqueue_response(lane, it.client, rsp, nullptr);
     }
@@ -1246,6 +1210,12 @@ std::optional<TimePs> RpcServer::earliest_work() const {
   return best;
 }
 
+void RpcServer::signal_dispatcher(TimePs t) {
+  if (worker_event_ != 0) return;
+  worker_event_ = t;
+  worker_signal_.wake();
+}
+
 void RpcServer::drain_handoffs() {
   // Hand-offs are pushed in nondecreasing virtual time (the engine admits
   // lanes in global time order), so draining front-to-back preserves the
@@ -1339,6 +1309,11 @@ void RpcServer::serve_pooled() {
   for (std::uint32_t w = 0; w < nw; ++w)
     tracks.push_back(env.sim().spawn_track(
         [this, w](sim::Context& sc) { worker_main(sc, w); }));
+  // The dispatcher's wait: the transport's request Wakers (events and the
+  // request receives a worker's progress may complete) and the workers'.
+  std::vector<Waker*> wakers(comm_->request_wakers().begin(),
+                             comm_->request_wakers().end());
+  wakers.push_back(&worker_signal_);
 
   // Dispatcher loop: this track ingests and parses request batches (the
   // admission queue feeds the worker tracks), posts handed-off responses
@@ -1374,9 +1349,7 @@ void RpcServer::serve_pooled() {
       }
       return best;
     };
-    // The hand-offs and the worker signal are this rank's state, which
-    // request_wakers() covers with the rank's activity.
-    env.sim().wait("rpc dispatcher", comm_->request_wakers(), ready);
+    env.sim().wait("rpc dispatcher", wakers, ready);
   }
   stopping_ = true;
   stop_time_ = env.now();
@@ -1398,7 +1371,7 @@ void RpcServer::worker_main(sim::Context& sc, std::uint32_t w) {
     }
     if (crashed_now()) {
       ++stats_.discarded;
-      if (worker_event_ == 0) worker_event_ = sc.now();
+      signal_dispatcher(sc.now());
       continue;
     }
     ++busy_workers_;
@@ -1417,7 +1390,7 @@ void RpcServer::worker_main(sim::Context& sc, std::uint32_t w) {
     // Wake the dispatcher at the earliest completion it has not yet
     // acknowledged (virtual times are nondecreasing across lanes, so the
     // first unacknowledged signal is the earliest).
-    if (worker_event_ == 0) worker_event_ = sc.now();
+    signal_dispatcher(sc.now());
   }
 }
 

@@ -403,13 +403,9 @@ Engine::TrackState* Engine::schedule_next() noexcept try {
   ++stats_.decisions;
   if (aborted_) return nullptr;
 
-  // The lane handing over the turn changed its own clock or state, and
-  // whatever rank_activity() waits read.
-  if (running_ != host_) {
-    RankState& rk = ranks_[static_cast<std::size_t>(running_->rank)];
-    rk.dirty = true;
-    rk.activity.wake();
-  }
+  // The lane handing over the turn changed its own clock or state.
+  if (running_ != host_)
+    ranks_[static_cast<std::size_t>(running_->rank)].dirty = true;
 #ifndef NDEBUG
   audit_waits();
 #endif

@@ -41,22 +41,21 @@
 //  - only x86-64 builds; other architectures stop at an #error.
 //
 // Wait contract. A lane blocks with ctx.wait(reason, {&waker, ...},
-// ready), naming a Waker (ibp/common/waker.hpp) for every piece of state
-// `ready` reads. The engine caches each blocked lane's ready time and
-// re-runs `ready` only after one of the named Wakers fired, so a
-// decision runs no ready function of a lane whose state is unchanged. The
-// owner of waited-on state fires its Waker on every mutation, pops
-// included: a ready function may turn un-ready only through a fire, as
-// when a sibling lane pops the completion it was ready on. The rank's
-// activity Waker (Context::rank_activity) fires whenever a lane of the
-// rank hands over the turn; a wait that reads state of its own rank with
-// no Waker of its own (a request a sibling's progress completes, a
-// deadline table) names it and is re-run after every lane of its rank
-// ran. A track's end fires the Waker join_track() waits on. Debug builds
-// (no NDEBUG) re-run every clean lane's ready function on each decision
-// and fail the run, naming r<rank>.t<track> and the wait reason, when a
-// cached ready time went stale; a missing fire in a release build
-// surfaces as a deadlock error or a changed schedule.
+// ready). The one rule: the wait names a Waker (ibp/common/waker.hpp) for
+// everything another lane can change while it waits. The engine caches
+// each blocked lane's ready time and re-runs `ready` only after one of
+// the named Wakers fired, so a decision runs no ready function of a lane
+// whose state is unchanged. The owner of waited-on state fires its Waker
+// on every mutation another lane can make, pops included: a ready
+// function may turn un-ready only through a fire, as when a sibling lane
+// pops the completion it was ready on. State only the waiting lane itself
+// changes (a deadline it armed before blocking) needs no Waker: every
+// wait starts with a fresh call of `ready`. A track's end fires the Waker
+// join_track() waits on.
+// Debug builds (no NDEBUG) re-run every clean lane's ready function on
+// each decision and fail the run, naming r<rank>.t<track> and the wait
+// reason, when a cached ready time went stale; a missing fire in a
+// release build surfaces as a deadlock error or a changed schedule.
 
 #include <algorithm>
 #include <cstdint>
@@ -158,10 +157,6 @@ class Context {
   /// caller's clock is max(its own clock, the track's final time).
   void join_track(TrackId t);
 
-  /// Fires whenever a lane of this rank hands over the turn: for waits
-  /// on same-rank state that has no Waker of its own.
-  Waker& rank_activity() const;
-
  private:
   friend class Engine;
   Context(Engine* eng, RankId rank) : eng_(eng), rank_(rank) {}
@@ -251,7 +246,6 @@ class Engine {
     // engine's life.
     bool dirty = true;
     Candidate cand;
-    Waker activity;  // Context::rank_activity()
   };
 
   TimePs now_of(RankId r) const;
@@ -336,8 +330,5 @@ inline TrackId Context::spawn_track(std::function<void(Context&)> fn) {
   return eng_->spawn_track(rank_, std::move(fn));
 }
 inline void Context::join_track(TrackId t) { eng_->join_track(rank_, t); }
-inline Waker& Context::rank_activity() const {
-  return eng_->ranks_[static_cast<std::size_t>(rank_)].activity;
-}
 
 }  // namespace ibp::sim

@@ -335,6 +335,71 @@ TEST(MpiProfiler, SplitsCommFromCompute) {
   }
 }
 
+TEST(MpiTracks, SiblingComputeDoesNotRerunABlockedRecv) {
+  // Rank 0 blocks in recv while a sibling track computes in 1,000 steps;
+  // rank 1 sends 1 ms after its Comm is built. Only the receive's own
+  // events and its completion may re-run the wait's ready function, not
+  // every step the sibling takes.
+  core::Cluster cluster(small_cluster(2, 1));
+  cluster.run([&](core::RankEnv& env) {
+    Comm comm(env);
+    const VirtAddr buf = env.alloc(64);
+    if (env.rank() == 1) {
+      env.sim().advance(ms(1));
+      comm.send(buf, 64, 0, 7);
+      return;
+    }
+    const sim::TrackId t = env.sim().spawn_track([](sim::Context& sc) {
+      for (int i = 0; i < 1000; ++i) sc.advance(ns(100));
+    });
+    EXPECT_EQ(comm.recv(buf, 64, 1, 7).len, 64u);
+    env.sim().join_track(t);
+  });
+  const sim::Engine::Stats s = cluster.engine().stats();
+  EXPECT_EQ(s.decisions, 1096u);
+  EXPECT_LE(s.predicate_calls, 10u);
+}
+
+TEST(MpiTracks, SiblingProgressHandsTheSendSlotOn) {
+  // One bounce slot. Track 0 sends; track 2 then waits for the slot.
+  // Track 0's receive drains the first send's completion and frees the
+  // slot at kFree, which makes track 2's wait ready. Track 1 finishes
+  // touching its payload at the same time and, as the lower track,
+  // takes the slot first, so track 2 waits on. Both changes to the free
+  // slots must reach the wait (Debug builds audit it on every decision).
+  constexpr TimePs kFree = 494665739;  // the slot frees
+  constexpr TimePs kTouch = 90538;     // track 1's 64 B payload touch
+  CommConfig cc;
+  cc.send_slots = 1;
+  core::Cluster cluster(small_cluster(2, 1));
+  TimePs sent_at[2] = {0, 0};
+  cluster.run([&](core::RankEnv& env) {
+    Comm comm(env, cc);
+    const VirtAddr buf = env.alloc(256);
+    if (env.rank() == 1) {
+      for (int tag = 1; tag <= 3; ++tag) comm.recv(buf, 64, 0, tag);
+      comm.send(buf, 64, 0, 4);
+      return;
+    }
+    comm.send(buf, 64, 1, 1);
+    const sim::TrackId taker = env.sim().spawn_track([&](sim::Context& sc) {
+      sc.sleep_until(kFree - kTouch);
+      comm.send(buf + 128, 64, 1, 2);
+      sent_at[0] = sc.now();
+    });
+    const sim::TrackId waiter = env.sim().spawn_track([&](sim::Context& sc) {
+      comm.send(buf + 64, 64, 1, 3);
+      sent_at[1] = sc.now();
+    });
+    comm.recv(buf, 64, 1, 4);
+    env.sim().join_track(taker);
+    env.sim().join_track(waiter);
+  });
+  EXPECT_EQ(sent_at[0], 495408046u);
+  EXPECT_EQ(sent_at[1], 497725247u);
+  EXPECT_EQ(cluster.engine().stats().decisions, 167u);
+}
+
 TEST(MpiDeterminism, IdenticalRunsIdenticalClocks) {
   auto run_once = [] {
     core::Cluster cluster(small_cluster(2, 2));

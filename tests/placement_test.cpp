@@ -35,8 +35,8 @@ TEST(Registry, UnknownNameIsNull) {
 // ---------------------------------------------------------------------------
 // Golden equivalence: PaperDefault reproduces the pre-engine hard-coded
 // decisions — the hugepage library's 32 KB tier and 4 KB chunks, the MPI
-// eager/rndv-copy/rndv-RDMA thresholds, the SGE-gather condition, and
-// the lazy/deactivated registration split — for every size 1 B..16 MB.
+// eager/rndv-copy/rndv-RDMA thresholds and the SGE-gather condition —
+// for every size 1 B..16 MB.
 
 TEST(PaperDefault, GoldenEquivalenceSweep) {
   PaperDefaultPolicy policy;
@@ -47,35 +47,29 @@ TEST(PaperDefault, GoldenEquivalenceSweep) {
       if (size == 0 || size > 16 * kMiB) continue;
       for (bool huge_on : {false, true}) {
         for (bool sge_on : {false, true}) {
-          for (bool lazy : {false, true}) {
-            PolicyContext ctx;
-            ctx.hugepages_enabled = huge_on;
-            ctx.sge_gather_enabled = sge_on;
-            ctx.lazy_dereg = lazy;
-            const BufferPlan p = policy.plan({.size = size}, ctx);
+          PolicyContext ctx;
+          ctx.hugepages_enabled = huge_on;
+          ctx.sge_gather_enabled = sge_on;
+          const BufferPlan p = policy.plan({.size = size}, ctx);
 
-            // hugepage::Library::malloc's exact routing condition.
-            const bool want_huge = huge_on && size >= 32 * kKiB;
-            EXPECT_EQ(p.backing, want_huge ? mem::PageKind::Huge
-                                           : mem::PageKind::Small)
-                << "size " << size;
-            EXPECT_EQ(p.chunk, 4 * kKiB);
+          // hugepage::Library::malloc's exact routing condition.
+          const bool want_huge = huge_on && size >= 32 * kKiB;
+          EXPECT_EQ(p.backing, want_huge ? mem::PageKind::Huge
+                                         : mem::PageKind::Small)
+              << "size " << size;
+          EXPECT_EQ(p.chunk, 4 * kKiB);
 
-            // mpi::Comm::isend's exact protocol conditions.
-            if (size <= 8 * kKiB) {
-              EXPECT_EQ(p.protocol, Protocol::Eager) << "size " << size;
-            } else if (size <= 16 * kKiB) {
-              EXPECT_EQ(p.protocol, Protocol::RndvCopy) << "size " << size;
-            } else {
-              EXPECT_EQ(p.protocol, Protocol::RndvRdma) << "size " << size;
-            }
-
-            // Comm::send_typed's exact SGE-gather condition.
-            EXPECT_EQ(p.sge_gather, sge_on && size <= 8 * kKiB);
-
-            EXPECT_EQ(p.registration, lazy ? RegStrategy::LazyCache
-                                           : RegStrategy::Deactivated);
+          // mpi::Comm::isend's exact protocol conditions.
+          if (size <= 8 * kKiB) {
+            EXPECT_EQ(p.protocol, Protocol::Eager) << "size " << size;
+          } else if (size <= 16 * kKiB) {
+            EXPECT_EQ(p.protocol, Protocol::RndvCopy) << "size " << size;
+          } else {
+            EXPECT_EQ(p.protocol, Protocol::RndvRdma) << "size " << size;
           }
+
+          // Comm::send_typed's exact SGE-gather condition.
+          EXPECT_EQ(p.sge_gather, sge_on && size <= 8 * kKiB);
         }
       }
     }

@@ -229,57 +229,6 @@ TEST(Rpc, ClientQueueCapRejectsLocally) {
   EXPECT_EQ(stats.rejected + stats.completed, 32u);
 }
 
-TEST(Rpc, QosCreditPoolBoundsBulkWithoutStarvingIt) {
-  RpcConfig rc;
-  rc.bulk_credits = 2;        // per-tenant Bulk pool: two in flight
-  rc.service_base = us(20);   // slow server so the burst outruns the pool
-  rc.client_queue_cap = 128;
-  ClientStats stats;
-  std::uint64_t ok = 0;
-  with_rpc(rc, [&](RpcClient& c) {
-    const auto msg = bytes({4});
-    std::vector<std::uint64_t> ids;
-    for (int i = 0; i < 24; ++i)
-      ids.push_back(c.submit(msg, 0, Class::Bulk, /*tenant=*/7));
-    for (int i = 0; i < 8; ++i)
-      ids.push_back(c.submit(msg, 0, Class::Latency, /*tenant=*/7));
-    for (std::uint64_t id : ids) {
-      if (c.wait(id).status == Status::Ok) ++ok;
-    }
-    stats = c.stats();
-  });
-  EXPECT_GT(stats.qos_stalls, 0u)
-      << "24 bulk requests against a 2-deep pool must stall the flush";
-  EXPECT_EQ(ok, 32u) << "QoS throttles bulk, it never starves it";
-}
-
-TEST(Rpc, ZeroQosPoolsAreBitInert) {
-  // latency_credits == bulk_credits == 0 (the default) must leave the
-  // wire behaviour byte-identical to the pre-QoS client.
-  const auto run = [](std::uint32_t bulk_credits) {
-    RpcConfig rc;
-    rc.bulk_credits = bulk_credits;
-    loadgen::GenResult gen;
-    with_rpc(rc, [&](RpcClient& c) {
-      loadgen::Workload w;
-      w.request_bytes = 128;
-      w.bulk_fraction = 0.5;
-      w.tenants = 3;
-      loadgen::ClosedLoopConfig cc;
-      cc.workers = 4;
-      cc.requests = 120;
-      cc.seed = 9;
-      gen = loadgen::run_closed_loop(c, w, cc);
-    });
-    return gen;
-  };
-  const loadgen::GenResult off = run(0);
-  const loadgen::GenResult wide = run(64);  // pool wider than the burst
-  EXPECT_EQ(off.trace_hash, wide.trace_hash)
-      << "an unconstraining pool must not perturb timing";
-  EXPECT_EQ(off.span, wide.span);
-}
-
 TEST(Rpc, TimeoutRetriesRescueAndDeduplicate) {
   RpcConfig rc;
   rc.service_base = us(40);     // responses outlive the first deadline
@@ -545,6 +494,64 @@ TEST(Loadgen, TrackedWorkersOverlapThinkTime) {
       << "tracked workers must genuinely overlap, not serialize";
 }
 
+TEST(Loadgen, TrackedWorkersFlushUnderFailingTimeouts) {
+  // Unbatched tracked workers flush from their own submits, so a sibling
+  // lane arms the request deadlines that the poll loop's blocked wait
+  // reads. Packed sends (no SGE gather) charge copy time before the send
+  // posts, so only the deadline's own Waker reaches that wait in time
+  // (Debug builds audit it on every decision). Each run's results are
+  // pinned.
+  struct Pin {
+    TimePs timeout;
+    std::uint64_t ok;
+    std::uint64_t shed;
+    std::uint64_t timed_out;
+    TimePs span;
+    std::uint64_t trace_hash;
+  };
+  for (const Pin& want :
+       {Pin{us(6), 3, 9, 288, 1790184184, 8154015685781354516u},
+        Pin{us(15), 13, 0, 287, 4048753707, 308184223748461520u},
+        Pin{us(30), 300, 0, 0, 3946417958, 7019886007321082166u},
+        Pin{us(200), 300, 0, 0, 1474292001, 5905580184001717024u}}) {
+    RpcConfig rc;
+    rc.batching = false;
+    rc.request_timeout = want.timeout;
+    rc.max_retries = 2;
+    rc.fail_timed_out = true;
+    core::ClusterConfig cfg;
+    cfg.nodes = 2;
+    cfg.ranks_per_node = 1;
+    core::Cluster cluster(cfg);
+    loadgen::GenResult gen;
+    cluster.run([&](core::RankEnv& env) {
+      mpi::Comm comm(env);
+      if (env.rank() == 0) {
+        RpcServer server(comm, {1}, rc);
+        server.serve();
+        return;
+      }
+      RpcClient client(comm, 0, rc);
+      loadgen::Workload w;
+      w.request_bytes = 128;
+      loadgen::ClosedLoopConfig cc;
+      cc.workers = 8;
+      cc.requests = 300;
+      cc.think = us(1);
+      cc.seed = 5;
+      cc.tracked_workers = true;
+      gen = loadgen::run_closed_loop(client, w, cc);
+      client.close();
+    });
+    EXPECT_EQ(gen.ok + gen.shed + gen.timed_out, 300u);
+    EXPECT_EQ(gen.ok, want.ok) << want.timeout;
+    EXPECT_EQ(gen.shed, want.shed) << want.timeout;
+    EXPECT_EQ(gen.timed_out, want.timed_out) << want.timeout;
+    EXPECT_EQ(gen.span, want.span) << want.timeout;
+    EXPECT_EQ(gen.trace_hash, want.trace_hash) << want.timeout;
+  }
+}
+
 TEST(Loadgen, OverloadP99StaysBoundedUnderShedding) {
   const auto run = [](std::uint32_t workers) {
     RpcConfig rc;
@@ -589,7 +596,7 @@ struct PoolResult {
 /// submits them in bursts of `burst` and waits each burst out.
 PoolResult run_pooled(std::uint32_t workers, hca::ShareMode mode,
                       int requests = 96, TimePs service = us(4),
-                      int burst = 16) {
+                      int burst = 16, std::uint32_t response_cap = 0) {
   core::ClusterConfig cfg;
   cfg.nodes = 2;
   cfg.ranks_per_node = 1;
@@ -616,7 +623,7 @@ PoolResult run_pooled(std::uint32_t workers, hca::ShareMode mode,
     const std::vector<std::uint8_t> msg(64, 7);
     std::vector<std::uint64_t> ids;
     for (int i = 0; i < requests; ++i) {
-      const std::uint64_t id = client.submit(msg);
+      const std::uint64_t id = client.submit(msg, response_cap);
       if (id != 0) ids.push_back(id);
       if (static_cast<int>(ids.size() % burst) == 0)
         for (std::uint64_t x : ids) client.wait(x);
@@ -638,6 +645,18 @@ TEST(RpcWorkerPool, ServesEveryRequestInAllShareModes) {
     EXPECT_EQ(r.server.served, 96u) << share_mode_name(mode);
     EXPECT_EQ(r.client.shed, 0u) << share_mode_name(mode);
   }
+}
+
+TEST(RpcWorkerPool, DispatcherModeHandsOffLargeResponses) {
+  // A dispatcher-mode worker hands each response to the dispatcher. For
+  // a large one it then sends the body itself, charging time before it
+  // signals, so the hand-off alone must wake the dispatcher (Debug
+  // builds audit its wait on every decision).
+  const PoolResult r =
+      run_pooled(4, hca::ShareMode::Dispatcher, 48, us(4), 16, 4 * kKiB);
+  EXPECT_EQ(r.client.completed, 48u);
+  EXPECT_EQ(r.client.large_responses, 48u);
+  EXPECT_EQ(r.makespan, 1928087696u);
 }
 
 TEST(RpcWorkerPool, WorkersOverlapServiceTime) {
@@ -743,13 +762,16 @@ TEST(RpcWorkerPool, SharedLockedFleetKeepsItsSchedule) {
   // ext_thread_scale's shared-locked T=4 cell at full size. Its worker
   // tracks complete the dispatcher's request receives only after the
   // poll that popped their CQEs has yielded, so the dispatcher's wait
-  // must name the rank's activity, not only the transport's event
-  // sources; without it this cell's schedule, pinned here, changes.
+  // must name the Comm's request Waker, which fires at the completion
+  // itself, not only the transport's event sources; without it this
+  // cell's schedule, pinned here, changes.
   const FleetResult r = run_fleet(4, 4, hca::ShareMode::SharedLocked, 4800);
   EXPECT_EQ(r.ok, 4800u);
   EXPECT_EQ(r.makespan, 41084825048u);
   EXPECT_EQ(r.qp_contention_ps, 68745369145u);
   EXPECT_EQ(r.cq_poll_contention, 42375u);
+  EXPECT_EQ(r.engine.decisions, 216284u);
+  EXPECT_EQ(r.engine.switches, 111869u);
 }
 
 TEST(RpcWorkerPool, DeterministicAcrossRuns) {

@@ -523,7 +523,6 @@ void json_gen_record(std::ofstream& out, const char* key,
       << indent << "  \"shed_total\": "
       << static_cast<std::uint64_t>(shed_total)
       << ", \"credit_stalls\": " << cs.credit_stalls
-      << ", \"qos_stalls\": " << cs.qos_stalls
       << ", \"retries\": " << cs.retries
       << ", \"trace_hash\": \"" << hash << "\"}";
 }
