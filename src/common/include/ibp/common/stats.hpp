@@ -116,11 +116,6 @@ class LogHistogram {
     stats_.merge(o.stats_);
   }
 
-  std::uint64_t bucket_count(int i) const {
-    IBP_CHECK(i >= 0 && i < kBuckets);
-    return buckets_[static_cast<std::size_t>(i)];
-  }
-
   /// Bucket index for a value: values below 2^kSubBits get exact unit
   /// buckets; above, octave e (v in [2^e, 2^(e+1))) splits into kSub
   /// linear sub-buckets of width 2^(e - kSubBits).

@@ -225,10 +225,6 @@ void Cluster::register_probes() {
           [rs] { return double(rs->placement->stats().huge_backed); });
     probe("placement.small_backed",
           [rs] { return double(rs->placement->stats().small_backed); });
-    probe("placement.sge_plans",
-          [rs] { return double(rs->placement->stats().sge_plans); });
-    probe("placement.feedbacks",
-          [rs] { return double(rs->placement->stats().feedbacks); });
   }
 
   if (fault_ != nullptr) {

@@ -57,8 +57,8 @@ struct ClusterConfig {
   /// published strategy bit-exactly; see `ibplace --list-policies`.
   std::string placement_policy = "paper-default";
   /// Per-role policy overrides: (role name, policy name) pairs installed
-  /// on every rank's engine, e.g. {"rpc-ring", "paper-default"} while
-  /// `placement_policy` is "adaptive". Roles not listed use
+  /// on every rank's engine, e.g. {"rpc-ring", "small-page-baseline"}
+  /// while `placement_policy` is "paper-default". Roles not listed use
   /// `placement_policy`. Role names: see placement::role_name.
   std::vector<std::pair<std::string, std::string>> placement_role_policies;
   /// The paper's OpenIB driver patch: ship native hugepage translations.

@@ -25,8 +25,6 @@ class TimeBase {
     return static_cast<TimePs>(static_cast<double>(ticks) / tbr_hz_ * 1e12);
   }
 
-  double hz() const { return tbr_hz_; }
-
  private:
   double tbr_hz_;
 };

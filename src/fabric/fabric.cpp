@@ -253,18 +253,14 @@ std::uint64_t FabricClient::submit(std::span<const std::uint8_t> payload,
   return fid;
 }
 
-std::uint32_t FabricClient::plan_segment_bytes(std::uint32_t total,
-                                               std::uint32_t width) const {
+std::uint32_t FabricClient::plan_segment_bytes(std::uint32_t total) const {
   std::uint64_t seg = cfg_.segment_bytes;
   if (seg == 0) {
-    // Ask the placement engine how it would chunk the reassembly buffer;
-    // the adaptive policy's feedback (stripe latency per byte) lands on
-    // Role::StripeSegment, closing the congestion -> placement loop.
-    placement::BufferRequest req;
-    req.size = total;
-    req.role = placement::Role::StripeSegment;
-    req.pieces = width;
-    seg = comm_->env().placement().plan(req).chunk;
+    // Ask the placement engine how it would chunk the reassembly buffer.
+    seg = comm_->env()
+              .placement()
+              .plan({.size = total, .role = placement::Role::StripeSegment})
+              .chunk;
   }
   seg = std::clamp<std::uint64_t>(seg, 256, cfg_.rpc.max_payload);
   return static_cast<std::uint32_t>(seg);
@@ -320,7 +316,7 @@ std::uint64_t FabricClient::submit_striped(std::uint32_t response_cap,
   }
   const std::uint32_t width =
       std::min<std::uint32_t>(cfg_.stripe_width, nlinks());
-  const std::uint32_t seg_bytes = plan_segment_bytes(response_cap, width);
+  const std::uint32_t seg_bytes = plan_segment_bytes(response_cap);
   const std::uint64_t nseg64 =
       (response_cap + seg_bytes - 1) / std::uint64_t{seg_bytes};
   IBP_CHECK(nseg64 <= 0xFFFF, "stripe would exceed 65535 segments");
@@ -485,17 +481,6 @@ void FabricClient::finalize(std::uint64_t fid, Stripe& st) {
                      env.now());
     hub_->end(st.trace, static_cast<std::uint8_t>(fc.status), env.now());
   }
-  // Close the loop: the adaptive placement policy sees what this stripe
-  // cost on the reassembly buffer's backing tier.
-  placement::Feedback fb;
-  fb.size = st.total;
-  fb.backing = env.lib().plan_for(st.total, placement::Role::StripeSegment)
-                   .backing;
-  fb.cost = fc.latency;
-  fb.role = placement::Role::StripeSegment;
-  fb.pieces = st.seg_count;
-  fb.gathered = true;
-  env.placement().feed(fb);
   env.dealloc(st.buf);
   stripes_.erase(fid);
   emit(std::move(fc));

@@ -3,8 +3,8 @@
 // ibp_fabric — a sharded multi-server serving fabric over ibp_rpc.
 //
 // One server rank is a toy against a fleet-scale workload; this layer
-// turns the single-server RPC path into a sharded fleet while keeping
-// every byte's journey decided by the placement engine:
+// turns the single-server RPC path into a sharded fleet while every
+// buffer it allocates is still placed by the placement engine:
 //
 //   * ShardMap — deterministic tenant -> server routing with pluggable
 //     strategies (hash / range / affinity) and an explicit epoch, so a
@@ -17,9 +17,7 @@
 //     inside a bounded client-side reassembly window,
 //   * FabricServer — an RpcServer whose handler serves stripe segments
 //     out of a lazily-allocated Role::RpcShard arena, exporting queue
-//     depth and stripe counters as fabric.* telemetry probes; stripe
-//     latency observations feed the placement engine (Role::StripeSegment)
-//     so the `adaptive` policy can steer segment buffers off hot tiers.
+//     depth and stripe counters as fabric.* telemetry probes.
 //
 // Segment sizing comes from the placement engine's plan for the
 // reassembly buffer (BufferPlan::chunk), clamped to the RPC slot payload
@@ -319,8 +317,7 @@ class FabricClient {
                                std::uint32_t tenant);
   std::uint32_t pick_link(std::uint32_t start, std::uint32_t rotation,
                           std::uint32_t width);
-  std::uint32_t plan_segment_bytes(std::uint32_t total,
-                                   std::uint32_t width) const;
+  std::uint32_t plan_segment_bytes(std::uint32_t total) const;
   void emit(rpc::Completion&& c);
   void register_metrics();
 

@@ -284,7 +284,6 @@ class Adapter {
   /// (per-packet loss judging, retransmission, RNR backoff, error state);
   /// without one, the legacy always-healthy fast path is taken unchanged.
   void set_fault_injector(fault::FaultInjector* inj) { fault_ = inj; }
-  fault::FaultInjector* fault_injector() { return fault_; }
 
   /// Register [addr, addr+len) of `space`. `trans_page_size` is the
   /// granularity of the translations shipped to the NIC — the stock driver
@@ -317,8 +316,6 @@ class Adapter {
   std::uint32_t qp_count() const {
     return static_cast<std::uint32_t>(qps_.size());
   }
-
-  std::uint64_t att_capacity() const { return att_.capacity(); }
 
  private:
   friend class QueuePair;

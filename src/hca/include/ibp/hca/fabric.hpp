@@ -56,13 +56,6 @@ class Fabric {
     return l.bulk_busy;
   }
 
-  /// Total bulk-lane busy time across links (observability for tests).
-  TimePs total_bulk_busy() const {
-    TimePs t = 0;
-    for (const Link& l : links_) t += l.bulk_busy;
-    return t;
-  }
-
  private:
   struct Link {
     TimePs bulk_busy = 0;

@@ -199,12 +199,6 @@ std::uint64_t HugeHeap::block_size(VirtAddr addr) const {
   return it->second.requested;
 }
 
-std::uint64_t HugeHeap::free_bytes() const {
-  std::uint64_t total = 0;
-  for (const auto& [va, chunks] : free_by_addr_) total += chunks * cfg_.chunk;
-  return total;
-}
-
 void HugeHeap::check_invariants() const {
   // Every free/live block must be chunk-aligned (relative to its region),
   // lie inside exactly one region, and free+live must tile without overlap.

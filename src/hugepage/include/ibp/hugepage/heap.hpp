@@ -108,8 +108,6 @@ class HugeHeap {
 
   /// Free-list size (test/ablation observability).
   std::uint64_t free_blocks() const { return free_by_addr_.size(); }
-  /// Sum of free bytes currently held by the heap.
-  std::uint64_t free_bytes() const;
 
   /// Invariant check used by property tests: free blocks are disjoint,
   /// chunk-aligned, inside mapped regions, and disjoint from live blocks.

@@ -76,12 +76,6 @@ class Library {
     if (r.addr == 0) {
       // Figure 2: not enough hugepages — redirect the request to libc.
       ++stats_.fallback_allocs;
-      if (engine_) {
-        engine_->feed({.size = size,
-                       .backing = mem::PageKind::Huge,
-                       .cost = r.cost,
-                       .alloc_failed = true});
-      }
       OpResult f = libc_.allocate(size);
       f.cost += r.cost;
       return f;
@@ -168,12 +162,10 @@ class Library {
   /// context carries this library's tunables so per-instance overrides
   /// (tests construct libraries with custom thresholds) keep working.
   placement::BufferPlan plan_for(std::uint64_t size, placement::Role role) {
-    placement::BufferRequest req{.size = size, .role = role};
-    placement::PolicyContext ctx;
-    if (engine_) ctx = engine_->context();
-    ctx.huge_threshold = cfg_.threshold;
-    ctx.chunk = cfg_.huge.chunk;
-    ctx.hugepages_enabled = cfg_.enabled;
+    const placement::BufferRequest req{.size = size, .role = role};
+    const placement::PolicyContext ctx{.huge_threshold = cfg_.threshold,
+                                       .chunk = cfg_.huge.chunk,
+                                       .hugepages_enabled = cfg_.enabled};
     if (engine_) return engine_->plan(req, ctx);
     return placement::PaperDefaultPolicy{}.plan(req, ctx);
   }

@@ -152,12 +152,6 @@ std::uint64_t AddressSpace::mapped_bytes(PageKind kind) const {
   return total;
 }
 
-Mapping& AddressSpace::mapping_at(VirtAddr va_base) {
-  auto it = mappings_.find(va_base);
-  IBP_CHECK(it != mappings_.end());
-  return *it->second;
-}
-
 std::vector<PhysAddr> HugeTlbFs::acquire(std::uint64_t n) {
   IBP_CHECK(n <= available(),
             "hugeTLBfs pool exhausted: want " << n << ", available "

@@ -113,12 +113,9 @@ class AddressSpace {
   }
 
   std::uint64_t mapped_bytes(PageKind kind) const;
-  std::uint64_t mapping_count() const { return mappings_.size(); }
   std::uint64_t pinned_pages() const { return pinned_pages_; }
 
  private:
-  Mapping& mapping_at(VirtAddr va_base);
-
   PhysicalMemory* phys_;
   HugeTlbFs* hugetlbfs_;
   VirtAddr next_small_ = kSmallRegionBase;

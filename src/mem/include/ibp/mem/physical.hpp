@@ -46,7 +46,6 @@ class PhysicalMemory {
   PhysAddr alloc_huge_frame();
   void free_huge_frame(PhysAddr pa);
 
-  std::uint64_t small_frames_total() const { return small_total_; }
   std::uint64_t small_frames_free() const {
     return undrawn_ + small_freed_.size();
   }

@@ -201,31 +201,19 @@ TimePs Comm::flat_copy_cost(std::uint64_t len) const {
   return static_cast<TimePs>(static_cast<double>(len) / bw * 1e3);
 }
 
-placement::BufferPlan Comm::plan_message(std::uint64_t len,
-                                         placement::Role role,
-                                         std::uint32_t pieces) const {
-  placement::PolicyContext ctx = env_->placement().context();
-  ctx.eager_threshold = cfg_.eager_threshold;
-  ctx.rndv_copy_max = cfg_.rndv_copy_max;
-  ctx.sge_gather_enabled = cfg_.sge_gather;
-  return env_->placement().plan(
-      {.size = len, .role = role, .pieces = pieces}, ctx);
-}
-
-verbs::Mr Comm::acquire_registration(VirtAddr addr, std::uint64_t len,
-                                     placement::Role role) {
-  const auto& cs = env_->rcache().stats();
-  const std::uint64_t misses_before = cs.misses;
-  const TimePs t0 = env_->now();
-  const verbs::Mr mr = env_->rcache().acquire(addr, len);
-  env_->placement().feed({.size = len,
-                          .backing = env_->lib().in_hugepages(addr)
-                                         ? mem::PageKind::Huge
-                                         : mem::PageKind::Small,
-                          .cost = env_->now() - t0,
-                          .cache_misses = cs.misses - misses_before,
-                          .role = role});
-  return mr;
+Comm::Path Comm::route(std::uint64_t len, int peer,
+                       std::size_t pieces) const {
+  const bool eager = len <= cfg_.eager_threshold;
+  const bool ib = peer != rank() && !same_node(peer);
+  if (pieces > 0)
+    // §7: the NIC gathers a segment list that fits the eager path over
+    // the HCA, even a single piece; otherwise the CPU packs it.
+    return eager && ib && cfg_.sge_gather ? Path::Gather : Path::Pack;
+  if (peer == rank()) return Path::Self;
+  if (!ib) return Path::Shm;
+  if (eager) return cfg_.rdma_eager ? Path::Ring : Path::Eager;
+  if (len <= cfg_.rndv_copy_max) return Path::RndvCopy;
+  return cfg_.rndv_read ? Path::RndvRead : Path::RndvWrite;
 }
 
 int Comm::take_send_slot() {
@@ -331,11 +319,7 @@ void Comm::transport_send_sges(int peer, const Header& hdr_in,
                      send_mr_.lkey});
   for (const Seg& s : segs) {
     if (s.len == 0) continue;
-    // Per-segment registrations feed the placement engine (role
-    // eager-send), so adaptive policies see the gather path's true
-    // registration profile, not just the rendezvous path's.
-    const verbs::Mr mr =
-        acquire_registration(s.addr, s.len, placement::Role::EagerSend);
+    const verbs::Mr mr = env_->rcache().acquire(s.addr, s.len);
     wr.sges.push_back(
         {s.addr, static_cast<std::uint32_t>(s.len), mr.lkey});
   }
@@ -445,37 +429,34 @@ Req Comm::isend(VirtAddr buf, std::uint64_t len, int dst, int tag) {
   hdr.tag = tag;
   hdr.size = len;
   hdr.req = r->id;
+  const auto payload = [&] {
+    return len ? env_->space().host_span(buf, len)
+               : std::span<const std::uint8_t>{};
+  };
 
-  if (dst == rank()) {
+  const Path path = route(len, dst);
+  if (path == Path::Self) {
     // Self message: loop straight through the matching engine.
     hdr.kind = static_cast<std::uint32_t>(MsgKind::Eager);
-    auto payload = len ? env_->space().host_span(buf, len)
-                       : std::span<const std::uint8_t>{};
-    handle_msg(hdr, payload);
+    handle_msg(hdr, payload());
     finish(r);
     return r;
   }
 
-  if (same_node(dst)) {
+  if (path == Path::Shm) {
     // Shared memory carries any size in one copy-in/copy-out hop.
     hdr.kind = static_cast<std::uint32_t>(MsgKind::Eager);
     ++stats_.shm_sent;
     stats_.shm_bytes += len;
     if (len) env_->touch_stream(buf, len);
-    auto payload = len ? env_->space().host_span(buf, len)
-                       : std::span<const std::uint8_t>{};
-    transport_send(dst, hdr, payload, {});
+    transport_send(dst, hdr, payload(), {});
     finish(r);
     return r;
   }
 
-  // The placement plan picks the protocol (PaperDefault reproduces the
-  // MVAPICH eager/rndv-copy/rndv-RDMA thresholds exactly).
-  const placement::BufferPlan plan =
-      plan_message(len, placement::Role::EagerSend);
-  if (plan.protocol == placement::Protocol::Eager) {
+  if (path == Path::Ring || path == Path::Eager) {
     hdr.kind = static_cast<std::uint32_t>(MsgKind::Eager);
-    if (cfg_.rdma_eager && try_ring_send(dst, hdr, buf, len)) {
+    if (path == Path::Ring && try_ring_send(dst, hdr, buf, len)) {
       // Ring writes complete locally once the record is staged.
       finish(r);
       return r;
@@ -483,27 +464,28 @@ Req Comm::isend(VirtAddr buf, std::uint64_t len, int dst, int tag) {
     ++stats_.eager_sent;
     stats_.eager_bytes += len;
     if (len) env_->touch_stream(buf, len);
-    auto payload = len ? env_->space().host_span(buf, len)
-                       : std::span<const std::uint8_t>{};
-    transport_send(dst, hdr, payload, {});
+    transport_send(dst, hdr, payload(), {});
     // Eager sends complete locally once the payload left the user buffer.
     finish(r);
     return r;
   }
 
-  // Rendezvous. With the read protocol the RTS advertises the (already
-  // registered) send buffer for the receiver to pull; otherwise the
-  // receiver's CTS decides between the copy and RDMA-write paths.
-  if (plan.protocol == placement::Protocol::RndvCopy) {
+  // Rendezvous. The RTS names the flavour; with the read flavour it also
+  // advertises the (already registered) send buffer for the receiver to
+  // pull.
+  hdr.kind = static_cast<std::uint32_t>(MsgKind::Rts);
+  if (path == Path::RndvCopy) {
     ++stats_.rndv_copy_sent;
     stats_.rndv_copy_bytes += len;
+    hdr.rndv = static_cast<std::uint32_t>(Rndv::Copy);
   } else {
     ++stats_.rndv_rdma_sent;
     stats_.rndv_rdma_bytes += len;
+    hdr.rndv = static_cast<std::uint32_t>(
+        path == Path::RndvRead ? Rndv::Read : Rndv::Write);
   }
-  hdr.kind = static_cast<std::uint32_t>(MsgKind::Rts);
-  if (cfg_.rndv_read && plan.protocol == placement::Protocol::RndvRdma) {
-    const verbs::Mr mr = acquire_registration(buf, len);
+  if (path == Path::RndvRead) {
+    const verbs::Mr mr = env_->rcache().acquire(buf, len);
     r->mr = mr;
     r->holds_mr = true;
     hdr.raddr = buf;
@@ -522,30 +504,11 @@ Req Comm::isend_gather(const std::vector<Seg>& segs, int dst, int tag) {
   IBP_CHECK(total <= cfg_.eager_threshold,
             "gathered sends use the eager path (total " << total << ")");
 
-  const placement::BufferPlan plan = plan_message(
-      total, placement::Role::EagerSend,
-      static_cast<std::uint32_t>(segs.size()));
-  // Sender-occupancy observation for the SGE-vs-pack decision: virtual
-  // time from here to the WR being posted (pack copies + bounce copy, or
-  // per-segment registrations + SGE posting).
-  const TimePs op_t0 = env_->now();
-  const auto feed_gather_cost = [&](bool gathered) {
-    if (segs.size() < 2) return;  // contiguous; nothing to learn
-    env_->placement().feed({.size = total,
-                            .backing = env_->lib().in_hugepages(segs[0].addr)
-                                           ? mem::PageKind::Huge
-                                           : mem::PageKind::Small,
-                            .cost = env_->now() - op_t0,
-                            .role = placement::Role::EagerSend,
-                            .pieces = static_cast<std::uint32_t>(segs.size()),
-                            .gathered = gathered});
-  };
-  if (!plan.sge_gather || dst == rank() || same_node(dst)) {
+  if (route(total, dst, segs.size()) != Path::Gather) {
     // Pack-and-send fallback: copy the pieces through a staging buffer.
     const VirtAddr stage = env_->alloc(std::max<std::uint64_t>(total, 64));
     pack(segs, stage);
     Req r = isend(stage, total, dst, tag);
-    feed_gather_cost(false);
     wait(r);  // staging buffer is freed below, so finish the handoff
     env_->dealloc(stage);
     return r;
@@ -565,18 +528,17 @@ Req Comm::isend_gather(const std::vector<Seg>& segs, int dst, int tag) {
   hdr.size = total;
   hdr.req = r->id;
 
-  // Honour the plan's SGE budget (header SGE included): a gather with
-  // more pieces keeps the first max_sges - 2 direct and packs the tail
-  // into one staged segment, so the WR never exceeds the cap.
+  // Honour the SGE budget (header SGE included): a gather with more
+  // pieces keeps the first kMaxSges - 2 direct and packs the tail into
+  // one staged segment, so the WR never exceeds the cap.
   std::vector<Seg> pieces;
   pieces.reserve(segs.size());
   for (const Seg& s : segs)
     if (s.len != 0) pieces.push_back(s);
   VirtAddr stage = 0;
-  const std::size_t cap = std::max<std::uint32_t>(plan.max_sges, 2);
-  if (pieces.size() + 1 > cap) {
+  if (pieces.size() + 1 > kMaxSges) {
     ++stats_.sge_splits;
-    const std::size_t keep = cap - 2;
+    const std::size_t keep = kMaxSges - 2;
     std::uint64_t tail_bytes = 0;
     for (std::size_t i = keep; i < pieces.size(); ++i)
       tail_bytes += pieces[i].len;
@@ -593,7 +555,6 @@ Req Comm::isend_gather(const std::vector<Seg>& segs, int dst, int tag) {
   action.stage_buf = stage;
   ++stats_.gather_sends;
   transport_send_sges(dst, hdr, pieces, std::move(action));
-  feed_gather_cost(true);
   return r;
 }
 
@@ -707,10 +668,7 @@ void Comm::send_typed(VirtAddr base, const Datatype& type, int dst,
     return;
   }
   const auto segs = type_segments(base, type);
-  const placement::BufferPlan plan = plan_message(
-      type.size(), placement::Role::EagerSend,
-      static_cast<std::uint32_t>(segs.size()));
-  if (plan.sge_gather && dst != rank() && !same_node(dst)) {
+  if (route(type.size(), dst, segs.size()) == Path::Gather) {
     // §7: the NIC walks the datatype via its scatter/gather list.
     wait(isend_gather(segs, dst, tag));
     return;
@@ -912,7 +870,7 @@ void Comm::handle_msg(const Header& hdr,
                        std::move(action));
       } else {
         // Large path: register the send buffer and RDMA-write the payload.
-        const verbs::Mr mr = acquire_registration(r->buf, r->len);
+        const verbs::Mr mr = env_->rcache().acquire(r->buf, r->len);
         hca::SendWr wr;
         wr.wr_id = next_wr_id_++;
         wr.opcode = hca::Opcode::RdmaWrite;
@@ -1113,11 +1071,10 @@ void Comm::complete_eager_recv(const Req& r, const Header& hdr,
 void Comm::start_rndv_recv(const Req& r, const Header& hdr) {
   IBP_CHECK(hdr.size <= r->len, "rendezvous message truncates buffer");
 
-  const placement::BufferPlan plan =
-      plan_message(hdr.size, placement::Role::Rendezvous);
-  if (hdr.raddr != 0 && plan.protocol == placement::Protocol::RndvRdma) {
+  const auto flavour = static_cast<Rndv>(hdr.rndv);
+  if (flavour == Rndv::Read) {
     // Read protocol: pull the advertised sender buffer directly.
-    const verbs::Mr mr = acquire_registration(r->buf, hdr.size);
+    const verbs::Mr mr = env_->rcache().acquire(r->buf, hdr.size);
     r->mr = mr;
     r->holds_mr = true;
     r->actual_src = hdr.src;
@@ -1150,8 +1107,8 @@ void Comm::start_rndv_recv(const Req& r, const Header& hdr) {
   cts.tag = hdr.tag;
   cts.size = hdr.size;
   cts.req = hdr.req;
-  if (plan.protocol == placement::Protocol::RndvRdma) {
-    const verbs::Mr mr = acquire_registration(r->buf, hdr.size);
+  if (flavour == Rndv::Write) {
+    const verbs::Mr mr = env_->rcache().acquire(r->buf, hdr.size);
     cts.raddr = r->buf;
     cts.rkey = mr.rkey;
     r->mr = mr;

@@ -14,6 +14,11 @@
 //   * optional scatter/gather eager sends (one WR, header SGE + user
 //     SGEs) — the paper's §7 future-work feature, implemented here and
 //     compared against pack-and-send in bench/abl_sge_mpi.
+//
+// One private function, Comm::route, turns a message's size, peer and
+// piece count into its path from CommConfig alone; isend, isend_gather
+// and send_typed branch on its answer. A rendezvous RTS names the
+// flavour the sender chose, and the receiver follows it.
 
 #include <cstdint>
 #include <deque>
@@ -95,7 +100,7 @@ struct CommStats {
   std::uint64_t shm_bytes = 0;
   std::uint64_t unexpected_arrivals = 0;
   std::uint64_t gather_sends = 0;
-  std::uint64_t sge_splits = 0;  // gathers split to honour plan.max_sges
+  std::uint64_t sge_splits = 0;  // gathers split to honour kMaxSges
   std::uint64_t rdma_eager_sent = 0;   // messages placed via ring write
   std::uint64_t rdma_eager_bytes = 0;  // user payload bytes over the rings
   /// Ring-eligible sends pushed back to the two-sided path because the
@@ -145,9 +150,14 @@ class Comm {
 
   /// Gathered eager send: the message is the concatenation of `segs`
   /// (total must fit the eager path). With cfg.sge_gather the NIC gathers
-  /// the pieces via SGEs; otherwise they are packed through the bounce
-  /// buffer first.
+  /// the pieces via SGEs, at most kMaxSges per work request; otherwise
+  /// they are packed through the bounce buffer first.
   Req isend_gather(const std::vector<Seg>& segs, int dst, int tag);
+
+  /// SGEs one gathered work request carries at most, header SGE
+  /// included; isend_gather packs the pieces beyond it into one staged
+  /// segment.
+  static constexpr std::size_t kMaxSges = 128;
 
   /// MPI_Pack / MPI_Unpack equivalents (CPU copies, charged).
   void pack(const std::vector<Seg>& segs, VirtAddr dst);
@@ -196,8 +206,6 @@ class Comm {
               ReduceOp op, int root);
 
   // --- internals exposed for tests -----------------------------------------
-  std::size_t unexpected_depth() const { return unexpected_.size(); }
-  std::size_t posted_depth() const { return posted_.size(); }
   regcache::RegCache& rcache() { return env_->rcache(); }
   /// Traffic counters. The transport-reliability fields (retransmits,
   /// rnr_naks) are pulled from the rank's QP counters on each call.
@@ -222,10 +230,28 @@ class Comm {
     hca::SendWr wr;          // stored for Repost-policy replays
     std::int32_t dest = -1;  // peer the RC WR targeted (-1: not replayable)
     std::uint32_t attempts = 0;  // replays consumed so far
-    // Staging block holding the tail of a gather split by plan.max_sges;
+    // Staging block holding the tail of a gather split by kMaxSges;
     // freed at the successful CQE (replays keep it intact).
     VirtAddr stage_buf = 0;
   };
+
+  /// How one message travels.
+  enum class Path : std::uint8_t {
+    Self,       // to this rank: straight through the matching engine
+    Shm,        // same node: one copy through shared memory, any size
+    Ring,       // one-sided ring record (two-sided eager when refused)
+    Eager,      // two-sided eager through a bounce slot
+    Gather,     // eager; the NIC gathers the pieces from one SGE list
+    Pack,       // the CPU packs the pieces, then sends the packed stream
+    RndvCopy,   // rendezvous, payload in-band after the CTS
+    RndvWrite,  // rendezvous, the sender RDMA-writes after the CTS
+    RndvRead,   // rendezvous, the receiver RDMA-reads the sender's buffer
+  };
+
+  /// The one per-message protocol decision, from CommConfig alone: the
+  /// path `len` bytes to `peer` take. `pieces` counts the segments of a
+  /// gathered or typed send; 0 is one contiguous buffer.
+  Path route(std::uint64_t len, int peer, std::size_t pieces = 0) const;
 
   // Transport helpers.
   bool same_node(int peer) const;
@@ -304,6 +330,7 @@ class Comm {
   void recover_qp(int peer);
   void complete_eager_recv(const Req& r, const Header& hdr,
                            std::span<const std::uint8_t> payload);
+  /// Answer a matched RTS with the flavour it names.
   void start_rndv_recv(const Req& r, const Header& hdr);
   bool match(const Req& r, std::int32_t src, std::int32_t tag) const {
     return (r->peer == kAnySource || r->peer == src) &&
@@ -314,20 +341,6 @@ class Comm {
   /// the bounce side; the user-buffer side is charged placement-aware via
   /// MemorySystem::stream).
   TimePs flat_copy_cost(std::uint64_t len) const;
-
-  /// Ask the rank's placement engine how to move `len` bytes. The context
-  /// carries this Comm's tunables (tests override CommConfig thresholds),
-  /// so the plan's protocol/SGE decisions are made against them.
-  placement::BufferPlan plan_message(std::uint64_t len, placement::Role role,
-                                     std::uint32_t pieces = 1) const;
-
-  /// rcache().acquire plus an observation fed back to the placement
-  /// engine: registration-cache misses and virtual-time cost for this
-  /// buffer's backing tier. `role` labels the observation so per-role
-  /// override policies receive their own feedback.
-  verbs::Mr acquire_registration(
-      VirtAddr addr, std::uint64_t len,
-      placement::Role role = placement::Role::Rendezvous);
 
   std::uint64_t peer_index(int peer) const;  // dense index among IB peers
 

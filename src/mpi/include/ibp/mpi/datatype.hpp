@@ -5,9 +5,10 @@
 // The paper's §4/§7 point: "MPI_Pack() and MPI_Unpack() may be mapped
 // directly to this InfiniBand interface" — a strided datatype's blocks
 // are exactly a scatter/gather list. Datatype describes `count` blocks of
-// `block_len` bytes placed `stride` bytes apart; Comm::send_typed routes
-// it through the NIC's SGE list when it fits the eager path (and
-// sge_gather is on) or through pack-and-send otherwise.
+// `block_len` bytes placed `stride` bytes apart; Comm::send_typed asks
+// Comm's one path decision, which sends it through the NIC's SGE list
+// when it fits the eager path (and sge_gather is on) and through
+// pack-and-send otherwise.
 
 #include <cstdint>
 #include <vector>

@@ -4,9 +4,10 @@
 //
 // Every transport-level message starts with a fixed 48-byte header; eager
 // payload follows in-band. Rendezvous exchanges RTS/CTS/FIN control
-// messages and moves the payload either by RDMA write into the receiver's
-// registered buffer (large path) or as an in-band RndvData message through
-// bounce buffers (medium path).
+// messages and moves the payload by RDMA write into the receiver's
+// registered buffer, by RDMA read from the sender's, or as an in-band
+// RndvData message through bounce buffers (medium path). The sender
+// picks the flavour and names it in its RTS; the receiver follows it.
 
 #include <cstdint>
 #include <cstring>
@@ -28,6 +29,13 @@ enum class MsgKind : std::uint32_t {
   FinRead = 6,   // read rendezvous: receiver -> sender, data pulled
 };
 
+/// Rendezvous flavour an RTS names.
+enum class Rndv : std::uint32_t {
+  Copy = 0,   // CTS without a buffer; the payload follows as RndvData
+  Write = 1,  // CTS advertises the receive buffer; the sender RDMA-writes
+  Read = 2,   // RTS advertises the send buffer; the receiver RDMA-reads
+};
+
 struct Header {
   std::uint32_t kind = 0;
   std::int32_t src = 0;
@@ -35,12 +43,12 @@ struct Header {
   std::uint32_t rkey = 0;
   std::uint64_t size = 0;   // full payload size of the user message
   std::uint64_t req = 0;    // sender-side request id (rendezvous matching)
-  std::uint64_t raddr = 0;  // CTS: receiver buffer address
+  std::uint64_t raddr = 0;  // CTS/read RTS: advertised buffer address
   // Per (src, dst) flow sequence number: restores envelope order when
   // messages ride different transports (ring records vs RC bounce, e.g.
   // after a ring ran out of credit).
   std::uint32_t seq = 0;
-  std::uint32_t pad = 0;
+  std::uint32_t rndv = 0;  // RTS: the Rndv flavour the sender chose
 };
 static_assert(sizeof(Header) == 48);
 

@@ -146,8 +146,6 @@ class RingReceiver {
   hca::SendWr make_credit_wr();
 
   std::uint64_t consumed() const { return consumed_; }
-  std::uint64_t credit_writes() const { return credit_writes_; }
-  std::uint64_t records_seen() const { return records_; }
 
  private:
   struct Pending {
@@ -159,7 +157,6 @@ class RingReceiver {
   RingConfig cfg_;
   VirtAddr slab_ = 0;
   verbs::Mr mr_;
-  mem::PageKind backing_ = mem::PageKind::Small;
   hca::WriteMonitor mon_;
   CreditDescriptor credit_{};
   VirtAddr credit_src_ = 0;  // 8-byte staging slot for the credit value
@@ -171,8 +168,6 @@ class RingReceiver {
   std::uint64_t consumed_ = 0;      // absolute slab bytes released
   std::uint64_t credited_ = 0;      // last credit value written back
   std::uint64_t pending_skip_ = 0;  // wrap dead space awaiting a release
-  std::uint64_t credit_writes_ = 0;
-  std::uint64_t records_ = 0;
   std::deque<Pending> pending_;
 };
 
@@ -217,7 +212,6 @@ class RingSender {
   std::uint64_t head() const { return head_; }
   std::uint64_t credit() const { return credit_seen_; }
   std::uint64_t outstanding() const { return head_ - credit_seen_; }
-  std::uint64_t frames_sent() const { return seq_; }
 
  private:
   core::RankEnv* env_;

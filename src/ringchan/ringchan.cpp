@@ -38,8 +38,6 @@ RingReceiver::RingReceiver(core::RankEnv& env, const RingConfig& cfg)
   slab_ = env.alloc(cfg_.slab_bytes, placement::Role::RingSlab);
   mr_ = env.verbs().reg_mr(slab_, cfg_.slab_bytes);
   env.verbs().set_write_monitor(mr_, &mon_);
-  const mem::Mapping* m = env.space().find(slab_, cfg_.slab_bytes);
-  if (m != nullptr) backing_ = m->kind;
   credit_src_ = env.alloc(8, placement::Role::RingSlot);
   credit_src_mr_ = env.verbs().reg_mr(credit_src_, 8);
   *env.host_ptr<std::uint64_t>(credit_src_) = 0;
@@ -82,7 +80,6 @@ void RingReceiver::poll(TimePs now, std::vector<Record>& out) {
       pending_.push_back(Pending{seq_, need + pending_skip_});
       pending_skip_ = 0;
       parsed_ += need;
-      ++records_;
       out.push_back(Record{slab_ + off + kHeaderBytes, len, seq_});
     }
     ++seq_;
@@ -95,14 +92,6 @@ void RingReceiver::release(const Record& r) {
             "ring records must be released oldest-first");
   consumed_ += pending_.front().footprint;
   pending_.pop_front();
-  // Teach the placement engine what lived in the ring: per-record slot
-  // residency feedback under Role::RingSlot (adaptive learns hugepage
-  // ring residency the same way it learns SGE shaping).
-  placement::Feedback fb;
-  fb.size = r.len;
-  fb.backing = backing_;
-  fb.role = placement::Role::RingSlot;
-  env_->placement().feed(fb);
 }
 
 hca::SendWr RingReceiver::make_credit_wr() {
@@ -115,7 +104,6 @@ hca::SendWr RingReceiver::make_credit_wr() {
   wr.rkey = credit_.rkey;
   wr.inline_data = 8 <= env_->verbs().adapter().config().inline_max;
   credited_ = consumed_;
-  ++credit_writes_;
   return wr;
 }
 

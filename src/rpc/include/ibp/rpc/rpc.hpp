@@ -6,9 +6,8 @@
 //
 //   * requests are framed with a fixed 24-byte wire header and carried
 //     over the eager path; queued small requests coalesce into one
-//     gather work request whose SGE budget comes from the rank's
-//     placement engine (BufferPlan::max_sges) — the §7 scatter/gather
-//     feature applied to RPC batching,
+//     gather work request of at most mpi::Comm::kMaxSges SGEs — the §7
+//     scatter/gather feature applied to RPC batching,
 //   * request and response slot rings are placed via the engine under
 //     the dedicated roles Role::RpcRing / Role::RpcResponse, so per-role
 //     policy overrides (ClusterConfig::placement_role_policies) steer
@@ -116,7 +115,7 @@ struct RpcConfig {
   bool batching = true;
   std::uint32_t max_batch_requests = 16;
   /// Wire bytes (headers included) that force a flush. Must fit the
-  /// eager path; the placement plan's max_sges further splits the WR.
+  /// eager path; mpi::Comm::kMaxSges further splits the WR.
   std::uint64_t max_batch_bytes = 4 * kKiB;
   /// Virtual-time age of the oldest queued request that forces a flush
   /// on the next poll, so a trickle of requests is not held hostage by
@@ -521,7 +520,6 @@ class RpcServer {
   void ingest();
   void parse_batch(std::uint32_t client, std::uint64_t len);
   void shed(std::uint32_t client, const WireHeader& hdr);
-  std::uint64_t queued_total() const;
   /// Serve the highest-priority queued request (per-tenant round-robin
   /// inside a class, Latency class first).
   void serve_one();

@@ -921,8 +921,6 @@ void RpcServer::shed(std::uint32_t client, const WireHeader& hdr) {
   enqueue_response(lanes_[0], client, rsp, nullptr);
 }
 
-std::uint64_t RpcServer::queued_total() const { return queued_; }
-
 bool RpcServer::pop_next(Item& out) {
   for (int cls = 0; cls < 2; ++cls) {
     auto& qs = queues_[cls];

@@ -152,9 +152,6 @@ class Context {
     return QpInfo{qp.qp_->state(), qp.qp_->attrs(), qp.qp_->qp_stats()};
   }
 
-  /// Recycle an errored QP back to a usable state (ERR→RESET→RTS).
-  void reset_qp(Qp& qp) { qp.qp_->reset(); }
-
   void post_send(Qp& qp, const hca::SendWr& wr) {
     if (!contended()) {
       sc_->advance(qp.qp_->post_send(wr, sc_->now()));

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "ibp/mpi/comm.hpp"
@@ -284,6 +286,69 @@ TEST(CommStats, CountsPerProtocol) {
       comm.recv(buf, 100, 0, 4);
     }
   });
+}
+
+TEST(CommStats, ConfigThresholdsAndSgeGatePickThePath) {
+  // The path is picked from the Comm's own config: eager up to 256 B,
+  // rendezvous copy up to 512 B, RDMA above, and NIC gathering of typed
+  // sends that fit the eager path only while sge_gather is on.
+  const Datatype strided = Datatype::vector(2, 128, 192);  // 256 B
+  const Datatype wide = Datatype::vector(257, 1, 2);       // 257 B
+  for (const bool sge : {false, true}) {
+    CommConfig cfg;
+    cfg.eager_threshold = 256;
+    cfg.rndv_copy_max = 512;
+    cfg.sge_gather = sge;
+    core::Cluster cluster(topo(2, 1));
+    cluster.run([&](core::RankEnv& env) {
+      Comm comm(env, cfg);
+      const VirtAddr sbuf = env.alloc(4 * kKiB);
+      const VirtAddr rbuf = env.alloc(4 * kKiB);
+      fill(env, sbuf, 4 * kKiB, 9);
+      const struct {
+        std::uint64_t len, eager, copy, rdma;
+      } bands[] = {{256, 1, 0, 0}, {257, 0, 1, 0}, {512, 0, 1, 0},
+                   {513, 0, 0, 1}};
+      if (env.rank() == 0) {
+        for (const auto& b : bands) {
+          const CommStats before = comm.stats();
+          comm.send(sbuf, b.len, 1, 1);
+          const CommStats& after = comm.stats();
+          EXPECT_EQ(after.eager_sent - before.eager_sent, b.eager) << b.len;
+          EXPECT_EQ(after.rndv_copy_sent - before.rndv_copy_sent, b.copy)
+              << b.len;
+          EXPECT_EQ(after.rndv_rdma_sent - before.rndv_rdma_sent, b.rdma)
+              << b.len;
+        }
+        const CommStats before = comm.stats();
+        comm.send_typed(sbuf, strided, 1, 2);
+        const CommStats mid = comm.stats();
+        EXPECT_EQ(mid.gather_sends - before.gather_sends, sge ? 1u : 0u);
+        EXPECT_EQ(mid.eager_sent - before.eager_sent, sge ? 0u : 1u);
+        comm.send_typed(sbuf, wide, 1, 3);
+        const CommStats& after = comm.stats();
+        EXPECT_EQ(after.gather_sends, mid.gather_sends)
+            << "a typed send above the eager path is packed";
+        EXPECT_EQ(after.rndv_copy_sent - mid.rndv_copy_sent, 1u);
+      } else {
+        for (const auto& b : bands) {
+          EXPECT_EQ(comm.recv(rbuf, b.len, 0, 1).len, b.len);
+          EXPECT_TRUE(check(env, rbuf, b.len, 9));
+        }
+        for (const auto& [type, tag] : {std::pair{strided, 2},
+                                        std::pair{wide, 3}}) {
+          EXPECT_EQ(comm.recv_typed(rbuf, type, 0, tag).len, type.size());
+          for (std::uint64_t k = 0; k < type.count; ++k) {
+            const std::uint64_t off = k * type.stride;
+            auto got = env.space().host_span(rbuf + off, type.block_len);
+            auto want = env.space().host_span(sbuf + off, type.block_len);
+            ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin()))
+                << "tag " << tag << " block " << k;
+          }
+        }
+      }
+    });
+  }
 }
 
 }  // namespace

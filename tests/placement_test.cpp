@@ -15,7 +15,7 @@ namespace {
 
 TEST(Registry, ListsAllPolicies) {
   const auto& infos = registered_policies();
-  ASSERT_EQ(infos.size(), 3u);
+  ASSERT_EQ(infos.size(), 2u);
   EXPECT_EQ(infos.front().name, "paper-default");
   for (const PolicyInfo& info : infos) {
     EXPECT_FALSE(info.description.empty());
@@ -34,9 +34,9 @@ TEST(Registry, UnknownNameIsNull) {
 
 // ---------------------------------------------------------------------------
 // Golden equivalence: PaperDefault reproduces the pre-engine hard-coded
-// decisions — the hugepage library's 32 KB tier and 4 KB chunks, the MPI
-// eager/rndv-copy/rndv-RDMA thresholds and the SGE-gather condition —
-// for every size 1 B..16 MB.
+// decisions — the hugepage library's 32 KB tier and 4 KB chunks — for
+// every size 1 B..16 MB. (mpi::Comm's protocol bands are checked in
+// mpi_protocol_test.)
 
 TEST(PaperDefault, GoldenEquivalenceSweep) {
   PaperDefaultPolicy policy;
@@ -46,53 +46,33 @@ TEST(PaperDefault, GoldenEquivalenceSweep) {
                                (std::uint64_t{1} << lg) - 1}) {
       if (size == 0 || size > 16 * kMiB) continue;
       for (bool huge_on : {false, true}) {
-        for (bool sge_on : {false, true}) {
-          PolicyContext ctx;
-          ctx.hugepages_enabled = huge_on;
-          ctx.sge_gather_enabled = sge_on;
-          const BufferPlan p = policy.plan({.size = size}, ctx);
+        PolicyContext ctx;
+        ctx.hugepages_enabled = huge_on;
+        const BufferPlan p = policy.plan({.size = size}, ctx);
 
-          // hugepage::Library::malloc's exact routing condition.
-          const bool want_huge = huge_on && size >= 32 * kKiB;
-          EXPECT_EQ(p.backing, want_huge ? mem::PageKind::Huge
-                                         : mem::PageKind::Small)
-              << "size " << size;
-          EXPECT_EQ(p.chunk, 4 * kKiB);
-
-          // mpi::Comm::isend's exact protocol conditions.
-          if (size <= 8 * kKiB) {
-            EXPECT_EQ(p.protocol, Protocol::Eager) << "size " << size;
-          } else if (size <= 16 * kKiB) {
-            EXPECT_EQ(p.protocol, Protocol::RndvCopy) << "size " << size;
-          } else {
-            EXPECT_EQ(p.protocol, Protocol::RndvRdma) << "size " << size;
-          }
-
-          // Comm::send_typed's exact SGE-gather condition.
-          EXPECT_EQ(p.sge_gather, sge_on && size <= 8 * kKiB);
-        }
+        // hugepage::Library::malloc's exact routing condition.
+        const bool want_huge = huge_on && size >= 32 * kKiB;
+        EXPECT_EQ(p.backing, want_huge ? mem::PageKind::Huge
+                                       : mem::PageKind::Small)
+            << "size " << size;
+        EXPECT_EQ(p.chunk, 4 * kKiB);
       }
     }
   }
 }
 
 TEST(PaperDefault, HonoursConsumerOverriddenThresholds) {
-  // Tests construct Comms/Libraries with custom thresholds; the policy
-  // must decide against the context, not baked-in constants.
+  // Tests construct Libraries with custom thresholds; the policy must
+  // decide against the context, not baked-in constants.
   PaperDefaultPolicy policy;
   PolicyContext ctx;
   ctx.hugepages_enabled = true;
   ctx.huge_threshold = 1 * kMiB;
-  ctx.eager_threshold = 256;
-  ctx.rndv_copy_max = 512;
   ctx.chunk = 8 * kKiB;
   EXPECT_EQ(policy.plan({.size = 512 * kKiB}, ctx).backing,
             mem::PageKind::Small);
   EXPECT_EQ(policy.plan({.size = 2 * kMiB}, ctx).backing,
             mem::PageKind::Huge);
-  EXPECT_EQ(policy.plan({.size = 256}, ctx).protocol, Protocol::Eager);
-  EXPECT_EQ(policy.plan({.size = 400}, ctx).protocol, Protocol::RndvCopy);
-  EXPECT_EQ(policy.plan({.size = 600}, ctx).protocol, Protocol::RndvRdma);
   EXPECT_EQ(policy.plan({.size = 64}, ctx).chunk, 8 * kKiB);
 }
 
@@ -134,87 +114,23 @@ TEST(SmallPageBaseline, NeverUsesHugepages) {
 }
 
 // ---------------------------------------------------------------------------
-// Adaptive: converges to hugepages for >= 32 KB buffers under a
-// synthetic stat feed, even from a pessimistic prior.
-
-TEST(Adaptive, ConvergesToHugepagesFromObservedStats) {
-  AdaptivePolicy policy;
-  PolicyContext ctx;
-  ctx.hugepages_enabled = true;
-  ctx.huge_threshold = 16 * kMiB;  // pessimistic prior: almost never huge
-
-  for (std::uint64_t size : {32 * kKiB, 256 * kKiB, 4 * kMiB}) {
-    EXPECT_EQ(policy.plan({.size = size}, ctx).backing,
-              mem::PageKind::Small)
-        << "prior should start on small pages for " << size;
-  }
-
-  // Synthetic feed shaped like CommStats/CacheStats deltas: hugepage
-  // transfers are cheap (few misses), small-page transfers pay full
-  // per-page registration.
-  for (int i = 0; i < 8; ++i) {
-    for (std::uint64_t size : {32 * kKiB, 256 * kKiB, 4 * kMiB}) {
-      policy.observe({.size = size,
-                      .backing = mem::PageKind::Small,
-                      .cost = size * 40,
-                      .cache_misses = size / kSmallPageSize});
-      policy.observe({.size = size,
-                      .backing = mem::PageKind::Huge,
-                      .cost = size * 2,
-                      .cache_misses = 1});
-    }
-  }
-
-  for (std::uint64_t size : {32 * kKiB, 256 * kKiB, 4 * kMiB}) {
-    EXPECT_EQ(policy.plan({.size = size}, ctx).backing, mem::PageKind::Huge)
-        << "observed stats must flip " << size << " to hugepages";
-    EXPECT_GT(policy.observed_cost(size, mem::PageKind::Small),
-              policy.observed_cost(size, mem::PageKind::Huge));
-  }
-
-  // Unobserved sizes keep the prior.
-  EXPECT_EQ(policy.plan({.size = 4 * kKiB}, ctx).backing,
-            mem::PageKind::Small);
-}
-
-TEST(Adaptive, RepeatedAllocFailuresFallBackToSmallPages) {
-  AdaptivePolicy policy;
-  PolicyContext ctx;
-  ctx.hugepages_enabled = true;
-  EXPECT_EQ(policy.plan({.size = 1 * kMiB}, ctx).backing,
-            mem::PageKind::Huge);
-  for (int i = 0; i < 3; ++i) {
-    policy.observe({.size = 1 * kMiB,
-                    .backing = mem::PageKind::Huge,
-                    .alloc_failed = true});
-  }
-  EXPECT_EQ(policy.plan({.size = 1 * kMiB}, ctx).backing,
-            mem::PageKind::Small)
-      << "an exhausted hugepage pool is not worth planning for";
-}
-
-// ---------------------------------------------------------------------------
-// Engine: counters and feedback plumbing.
+// Engine: counters.
 
 TEST(Engine, CountsDecisions) {
   PolicyContext ctx;
   ctx.hugepages_enabled = true;
   PlacementEngine engine(std::make_unique<PaperDefaultPolicy>(), ctx);
-  engine.plan({.size = 1 * kKiB, .role = Role::EagerSend});
-  engine.plan({.size = 64 * kKiB, .role = Role::Rendezvous});
+  engine.plan({.size = 1 * kKiB, .role = Role::RecvRing});
+  engine.plan({.size = 64 * kKiB, .role = Role::RpcResponse});
   engine.plan({.size = 64 * kKiB, .role = Role::WorkloadHeap});
-  engine.feed({.size = 64 * kKiB, .backing = mem::PageKind::Huge});
 
   const EngineStats& s = engine.stats();
   EXPECT_EQ(s.plans, 3u);
-  EXPECT_EQ(s.by_role[static_cast<int>(Role::EagerSend)], 1u);
-  EXPECT_EQ(s.by_role[static_cast<int>(Role::Rendezvous)], 1u);
+  EXPECT_EQ(s.by_role[static_cast<int>(Role::RecvRing)], 1u);
+  EXPECT_EQ(s.by_role[static_cast<int>(Role::RpcResponse)], 1u);
   EXPECT_EQ(s.by_role[static_cast<int>(Role::WorkloadHeap)], 1u);
-  EXPECT_EQ(s.by_protocol[static_cast<int>(Protocol::Eager)], 1u);
-  EXPECT_EQ(s.by_protocol[static_cast<int>(Protocol::RndvRdma)], 2u);
   EXPECT_EQ(s.huge_backed, 2u);
   EXPECT_EQ(s.small_backed, 1u);
-  EXPECT_EQ(s.feedbacks, 1u);
 }
 
 TEST(Engine, TracerLogsPlanDecisions) {
@@ -223,14 +139,15 @@ TEST(Engine, TracerLogsPlanDecisions) {
   PlacementEngine engine(std::make_unique<PaperDefaultPolicy>(),
                          PolicyContext{});
   engine.set_tracer(&tracer, 0, [&now] { return now; });
-  engine.plan({.size = 2 * kKiB, .role = Role::EagerSend});
+  engine.plan({.size = 2 * kKiB, .role = Role::RecvRing});
   ASSERT_EQ(tracer.size(), 1u);
 }
 
 // ---------------------------------------------------------------------------
 // Cluster integration: policy selection by name, and the acceptance
-// ordering — Adaptive beats SmallPageBaseline for >= 64 KB messages in
-// the registration-sensitive IMB SendRecv configuration.
+// ordering — the paper's hugepage placement beats SmallPageBaseline for
+// >= 64 KB messages in the registration-sensitive IMB SendRecv
+// configuration.
 
 TEST(Cluster, RejectsUnknownPolicyName) {
   core::ClusterConfig cfg;
@@ -282,13 +199,13 @@ TEST(Cluster, EveryPolicyHonoursLazyDeregistrationOff) {
   }
 }
 
-TEST(Cluster, AdaptiveBeatsSmallPageBaselineAt64KAndUp) {
-  const auto adaptive = run_fig5_policy("adaptive");
+TEST(Cluster, PaperDefaultBeatsSmallPageBaselineAt64KAndUp) {
+  const auto paper = run_fig5_policy("paper-default");
   const auto baseline = run_fig5_policy("small-page-baseline");
-  ASSERT_EQ(adaptive.size(), baseline.size());
-  for (std::size_t i = 0; i < adaptive.size(); ++i) {
-    EXPECT_GT(adaptive[i].mbytes_per_sec, baseline[i].mbytes_per_sec)
-        << "size " << adaptive[i].bytes;
+  ASSERT_EQ(paper.size(), baseline.size());
+  for (std::size_t i = 0; i < paper.size(); ++i) {
+    EXPECT_GT(paper[i].mbytes_per_sec, baseline[i].mbytes_per_sec)
+        << "size " << paper[i].bytes;
   }
 }
 
@@ -308,12 +225,12 @@ TEST(Cluster, PaperDefaultPolicyMatchesLegacyBehaviourBitExactly) {
 // Roles and per-role overrides
 
 TEST(Roles, NamesRoundTrip) {
-  const Role all[] = {Role::EagerSend,    Role::Rendezvous,
-                      Role::RecvRing,    Role::WorkloadHeap,
-                      Role::RpcRing,     Role::RpcResponse,
-                      Role::RpcShard,    Role::StripeSegment,
-                      Role::RingSlab,    Role::RingSlot};
+  const Role all[] = {Role::RecvRing,  Role::WorkloadHeap,
+                      Role::RpcRing,   Role::RpcResponse,
+                      Role::RpcShard,  Role::StripeSegment,
+                      Role::RingSlab,  Role::RingSlot};
   static_assert(sizeof(all) / sizeof(all[0]) == kRoleCount);
+  static_assert(kRoleCount == 8);
   for (Role r : all) {
     const auto back = role_from_name(role_name(r));
     ASSERT_TRUE(back.has_value()) << role_name(r);

@@ -182,8 +182,10 @@ TEST(RndvRead, UsesOneFewerControlHop) {
 }
 
 TEST(RndvRead, MixedWithWriteProtocolPeersWouldConflict) {
-  // Same config on both ranks is required; this documents that the knob
-  // is per-communicator and symmetric. (Both ranks read-mode: fine.)
+  // Both ranks in read mode swap 200 KiB. The knob is per communicator,
+  // and a peer with another rendezvous config does not conflict: every
+  // RTS names its sender's flavour and the receiver follows it (see
+  // SenderChoiceWinsOverReceiverConfig).
   core::Cluster cluster(two_singles());
   mpi::CommConfig ccfg;
   ccfg.rndv_read = true;
@@ -192,6 +194,42 @@ TEST(RndvRead, MixedWithWriteProtocolPeersWouldConflict) {
     const VirtAddr buf = env.alloc(256 * kKiB);
     const int other = 1 - env.rank();
     comm.sendrecv(buf, 200 * kKiB, other, 1, buf, 200 * kKiB, other, 1);
+  });
+}
+
+TEST(RndvRead, SenderChoiceWinsOverReceiverConfig) {
+  // Rank 0 reads above its 16 KiB copy ceiling; rank 1 would copy up to
+  // 32 KiB. The 24 KiB message takes the sender's read flavour: it
+  // arrives intact, and with lazy deregistration off both ranks unpin
+  // what they registered for it. A receiver that planned its own copy
+  // path would leave the sender's read registration pinned.
+  core::Cluster cluster(two_singles(/*lazy=*/false));
+  constexpr std::uint64_t kLen = 24 * kKiB;
+  cluster.run([&](core::RankEnv& env) {
+    mpi::CommConfig ccfg;
+    ccfg.slot_bytes = 32 * kKiB + 64;
+    if (env.rank() == 0) {
+      ccfg.rndv_read = true;
+    } else {
+      ccfg.rndv_copy_max = 32 * kKiB;
+    }
+    mpi::Comm comm(env, ccfg);
+    const VirtAddr buf = env.alloc(kLen);
+    const std::uint64_t pinned = env.space().pinned_pages();
+    if (env.rank() == 0) {
+      auto s = env.space().host_span(buf, kLen);
+      for (std::uint64_t i = 0; i < kLen; ++i)
+        s[i] = static_cast<std::uint8_t>(i * 7 + 1);
+      comm.send(buf, kLen, 1, 5);
+    } else {
+      const mpi::RecvStatus st = comm.recv(buf, kLen, 0, 5);
+      EXPECT_EQ(st.len, kLen);
+      auto s = env.space().host_span(buf, kLen);
+      for (std::uint64_t i = 0; i < kLen; ++i)
+        ASSERT_EQ(s[i], static_cast<std::uint8_t>(i * 7 + 1)) << i;
+    }
+    EXPECT_EQ(env.space().pinned_pages(), pinned)
+        << "rank " << env.rank() << " kept a registration pinned";
   });
 }
 

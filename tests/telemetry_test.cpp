@@ -243,50 +243,40 @@ TEST(Telemetry, FlowEventsPairOneToOneAcrossRetransmits) {
   }
 }
 
-/// PaperDefault with a tiny SGE budget: forces isend_gather to split.
-class TinySgePolicy : public placement::PaperDefaultPolicy {
- public:
-  std::string_view name() const override { return "tiny-sge-test"; }
-  placement::BufferPlan plan(
-      const placement::BufferRequest& req,
-      const placement::PolicyContext& ctx) const override {
-    placement::BufferPlan p = PaperDefaultPolicy::plan(req, ctx);
-    p.max_sges = 3;  // header + two data SGEs per work request
-    return p;
-  }
-};
-
 TEST(Telemetry, GatherSplitsHonourPlanSgeCapAndCount) {
+  // kMaxSges + 2 pieces plus the header SGE are three SGEs over the cap:
+  // the pieces beyond the first kMaxSges - 2 must be staged as one SGE.
+  constexpr std::size_t kPieces = mpi::Comm::kMaxSges + 2;
+  constexpr std::uint64_t kLen = 50;
+  constexpr std::uint64_t kStride = 60;
+  constexpr std::uint64_t kTotal = kPieces * kLen;
   core::Cluster cluster(telemetry_cluster(2, 1));
   std::uint64_t splits = 0;
   cluster.run([&](core::RankEnv& env) {
-    env.placement().set_role_policy(placement::Role::EagerSend,
-                                    std::make_unique<TinySgePolicy>());
     mpi::CommConfig ccfg;
     ccfg.sge_gather = true;
     mpi::Comm comm(env, ccfg);
     if (env.rank() == 0) {
-      // Five pieces + header = 6 SGEs > cap 3: the tail must be staged.
-      const VirtAddr b = env.alloc(4096);
-      auto s = env.space().host_span(b, 4096);
-      for (int i = 0; i < 4096; ++i)
+      const VirtAddr b = env.alloc(kPieces * kStride);
+      auto s = env.space().host_span(b, kPieces * kStride);
+      for (std::uint64_t i = 0; i < s.size(); ++i)
         s[i] = static_cast<std::uint8_t>(i * 11);
       std::vector<mpi::Seg> segs;
-      for (int i = 0; i < 5; ++i)
-        segs.push_back({b + static_cast<std::uint64_t>(i) * 500, 500});
+      for (std::size_t i = 0; i < kPieces; ++i)
+        segs.push_back({b + i * kStride, kLen});
       comm.wait(comm.isend_gather(segs, 1, 7));
       splits = comm.stats().sge_splits;
     } else {
-      const VirtAddr buf = env.alloc(4096);
-      const mpi::RecvStatus st = comm.recv(buf, 2500, 0, 7);
-      EXPECT_EQ(st.len, 2500u);
+      const VirtAddr buf = env.alloc(kTotal);
+      const mpi::RecvStatus st = comm.recv(buf, kTotal, 0, 7);
+      EXPECT_EQ(st.len, kTotal);
       // Payload must survive the split: the gathered pieces arrive in
       // order, bytewise identical to the source region's pieces.
-      auto r = env.space().host_span(buf, 2500);
-      for (int piece = 0; piece < 5; ++piece)
-        for (int i = 0; i < 500; ++i)
-          ASSERT_EQ(r[piece * 500 + i],
-                    static_cast<std::uint8_t>((piece * 500 + i) * 11))
+      auto r = env.space().host_span(buf, kTotal);
+      for (std::uint64_t piece = 0; piece < kPieces; ++piece)
+        for (std::uint64_t i = 0; i < kLen; ++i)
+          ASSERT_EQ(r[piece * kLen + i],
+                    static_cast<std::uint8_t>((piece * kStride + i) * 11))
               << "piece " << piece << " offset " << i;
     }
     comm.barrier();
