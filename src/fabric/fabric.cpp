@@ -218,7 +218,7 @@ std::uint64_t FabricClient::submit(std::span<const std::uint8_t> payload,
       ++stats_.submitted;
       ++stats_.degraded_shed;
       rpc::Completion c;
-      c.id = next_id_++;
+      c.id = done_.issue();
       c.status = rpc::Status::Overloaded;
       const std::uint64_t fid = c.id;
       emit(std::move(c));
@@ -238,7 +238,7 @@ std::uint64_t FabricClient::submit(std::span<const std::uint8_t> payload,
     ++stats_.rejected;
     return 0;
   }
-  const std::uint64_t fid = next_id_++;
+  const std::uint64_t fid = done_.issue();
   ++stats_.passthrough;
   sub_.emplace(std::make_pair(link, sid), SubKey{fid, 0, false});
   if (failover_armed()) {
@@ -253,15 +253,11 @@ std::uint64_t FabricClient::submit(std::span<const std::uint8_t> payload,
   return fid;
 }
 
-std::uint32_t FabricClient::plan_segment_bytes(std::uint32_t total) const {
+std::uint32_t FabricClient::segment_bytes() const {
   std::uint64_t seg = cfg_.segment_bytes;
-  if (seg == 0) {
-    // Ask the placement engine how it would chunk the reassembly buffer.
-    seg = comm_->env()
-              .placement()
-              .plan({.size = total, .role = placement::Role::StripeSegment})
-              .chunk;
-  }
+  // The placement chunk: every policy plans the context's carve
+  // granularity, which is the chunk the hugepage library carves with.
+  if (seg == 0) seg = comm_->env().lib().chunk();
   seg = std::clamp<std::uint64_t>(seg, 256, cfg_.rpc.max_payload);
   return static_cast<std::uint32_t>(seg);
 }
@@ -316,13 +312,13 @@ std::uint64_t FabricClient::submit_striped(std::uint32_t response_cap,
   }
   const std::uint32_t width =
       std::min<std::uint32_t>(cfg_.stripe_width, nlinks());
-  const std::uint32_t seg_bytes = plan_segment_bytes(response_cap);
+  const std::uint32_t seg_bytes = segment_bytes();
   const std::uint64_t nseg64 =
       (response_cap + seg_bytes - 1) / std::uint64_t{seg_bytes};
   IBP_CHECK(nseg64 <= 0xFFFF, "stripe would exceed 65535 segments");
   const std::uint16_t nseg = static_cast<std::uint16_t>(nseg64);
 
-  const std::uint64_t fid = next_id_++;
+  const std::uint64_t fid = done_.issue();
   Stripe st;
   st.total = response_cap;
   st.seg_bytes = seg_bytes;
@@ -338,7 +334,7 @@ std::uint64_t FabricClient::submit_striped(std::uint32_t response_cap,
     // a child of it below.
     st.trace = hub_->begin(comm_->rank(), tenant,
                            static_cast<std::uint8_t>(cls), st.t0);
-  stripes_.emplace(fid, st);
+  stripes_.emplace(fid, st).first->second.bytes.resize(response_cap);
   ++stats_.stripes;
 
   const std::uint32_t start = map_.home(tenant);
@@ -450,9 +446,7 @@ void FabricClient::route(std::uint32_t link, rpc::Completion&& c) {
     const std::uint32_t len =
         std::min<std::uint32_t>(st.seg_bytes, st.total - off);
     IBP_CHECK(c.payload.size() == len, "segment length mismatch");
-    core::RankEnv& env = comm_->env();
-    std::memcpy(env.host_ptr<std::uint8_t>(st.buf + off, len),
-                c.payload.data(), len);
+    std::memcpy(st.bytes.data() + off, c.payload.data(), len);
   }
   IBP_CHECK(st.remaining > 0, "stripe over-completed");
   if (--st.remaining == 0) finalize(key.fabric_id, st);
@@ -470,8 +464,7 @@ void FabricClient::finalize(std::uint64_t fid, Stripe& st) {
   fc.status = st.status;
   if (st.status == rpc::Status::Ok) {
     // The application reads the assembled response once.
-    const auto* p = env.host_ptr<std::uint8_t>(st.buf, st.total);
-    fc.payload.assign(p, p + st.total);
+    fc.payload = std::move(st.bytes);
     env.touch_stream(st.buf, st.total);
     stats_.reassembled_bytes += st.total;
   }
@@ -495,9 +488,7 @@ void FabricClient::emit(rpc::Completion&& c) {
     ++stats_.shed;
   }
   ++stats_.completed;
-  auto [pos, fresh] = done_.emplace(c.id, std::move(c));
-  IBP_CHECK(fresh, "duplicate fabric completion");
-  fresh_.push_back(&pos->second);
+  done_.complete(std::move(c));
 }
 
 // ---------------------------------------------------------------------------
@@ -726,7 +717,7 @@ void FabricClient::block_any() {
   pump();
 }
 
-void FabricClient::block_step() {
+void FabricClient::block_step(std::uint64_t id) {
   if (failover_armed()) {
     // Never block inside the transport: a dead server produces no
     // completion to wake on, so sleep against deadlines instead.
@@ -739,7 +730,7 @@ void FabricClient::block_step() {
     // must not add progress calls of its own.
     for (rpc::Completion& c : links_[0]->take_completions())
       route(0, std::move(c));
-    if (!fresh_.empty()) return;
+    if (id == 0 ? !done_.empty() : done_.find(id) != nullptr) return;
     links_[0]->wait_some();
     for (rpc::Completion& c : links_[0]->take_completions())
       route(0, std::move(c));
@@ -753,37 +744,30 @@ void FabricClient::poll() {
   pump();
 }
 
-const rpc::Completion& FabricClient::wait(std::uint64_t id) {
-  while (!completed(id)) {
+rpc::Completion FabricClient::wait(std::uint64_t id) {
+  done_.check_waitable(id, "fabric");
+  while (done_.find(id) == nullptr) {
     if (links_.size() > 1) {
       pump();
-      if (completed(id)) break;
+      if (done_.find(id) != nullptr) break;
     }
-    block_step();
+    block_step(id);
   }
-  return done_.at(id);
+  return done_.take(id);
 }
 
 void FabricClient::wait_some() {
   // An untaken completion satisfies the caller even with nothing on the
   // wire (a degradation shed completes at submit, wire-free).
-  IBP_CHECK(!fresh_.empty() || outstanding() > 0,
+  IBP_CHECK(!done_.empty() || outstanding() > 0,
             "wait_some with nothing outstanding");
-  while (fresh_.empty()) {
+  while (done_.empty()) {
     if (links_.size() > 1) {
       pump();
-      if (!fresh_.empty()) return;
+      if (!done_.empty()) return;
     }
     block_step();
   }
-}
-
-std::vector<rpc::Completion> FabricClient::take_completions() {
-  std::vector<rpc::Completion> out;
-  out.reserve(fresh_.size());
-  for (const rpc::Completion* c : fresh_) out.push_back(*c);
-  fresh_.clear();
-  return out;
 }
 
 void FabricClient::drain() {

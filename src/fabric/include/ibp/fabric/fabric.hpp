@@ -13,15 +13,15 @@
 //     route to the tenant's home shard; bulk responses above the stripe
 //     threshold are split into stripe-segment chunks fanned out over
 //     several links (the multi-rail idea: many QPs move one payload) and
-//     reassembled into a placement-planned Role::StripeSegment buffer
+//     reassembled through a placement-planned Role::StripeSegment buffer
 //     inside a bounded client-side reassembly window,
 //   * FabricServer — an RpcServer whose handler serves stripe segments
 //     out of a lazily-allocated Role::RpcShard arena, exporting queue
 //     depth and stripe counters as fabric.* telemetry probes.
 //
-// Segment sizing comes from the placement engine's plan for the
-// reassembly buffer (BufferPlan::chunk), clamped to the RPC slot payload
-// so segments always ride the batched eager path; link choice is
+// Segment sizing is the placement chunk (the 4 KB carve granularity every
+// policy plans and hugepage::Library carves with), clamped to the RPC slot
+// payload so segments always ride the batched eager path; link choice is
 // congestion-aware (least outstanding among the stripe's fan-out set,
 // deterministic tie-break by rotation from the shard home).
 //
@@ -144,8 +144,8 @@ struct FabricConfig {
   std::uint64_t stripe_threshold = 8 * kKiB;
   /// Max links one response fans out over (clamped to the server count).
   std::uint32_t stripe_width = 4;
-  /// Segment payload size; 0 = ask the placement engine (its
-  /// Role::StripeSegment plan's chunk), clamped to rpc.max_payload.
+  /// Segment payload size; 0 = the placement chunk (hugepage::Library's
+  /// carve granularity), clamped to rpc.max_payload.
   std::uint32_t segment_bytes = 0;
   /// Max stripes being reassembled concurrently; submit blocks on more.
   std::uint32_t reassembly_window = 8;
@@ -234,10 +234,22 @@ class FabricClient {
                        std::uint32_t tenant = 0);
 
   void poll();
-  bool completed(std::uint64_t id) const { return done_.count(id) != 0; }
-  const rpc::Completion& wait(std::uint64_t id);
+  /// Whether `id` completed, whether or not its record was taken.
+  bool completed(std::uint64_t id) const { return done_.completed(id); }
+  /// The untaken completion record for `id`, or nullptr while `id` is
+  /// outstanding and once its record was taken.
+  const rpc::Completion* find_completion(std::uint64_t id) const {
+    return done_.find(id);
+  }
+  /// Block until `id` completes, then take its record: returned by value,
+  /// it is no longer held. Fails fast on an id this client never issued
+  /// or has already handed over.
+  rpc::Completion wait(std::uint64_t id);
+  /// Block until at least one untaken completion record exists.
   void wait_some();
-  std::vector<rpc::Completion> take_completions();
+  /// Move every untaken completion record out, in completion order. The
+  /// client keeps none of them.
+  std::vector<rpc::Completion> take_completions() { return done_.take_all(); }
   void drain();
   void close();
 
@@ -294,7 +306,12 @@ class FabricClient {
     std::uint16_t remaining = 0;
     std::uint32_t tenant = 0;
     rpc::Class cls = rpc::Class::Latency;
-    VirtAddr buf = 0;  // Role::StripeSegment reassembly buffer
+    /// The Role::StripeSegment buffer the model places, streams and frees
+    /// (the reassembly cost); its host bytes are never written.
+    VirtAddr buf = 0;
+    /// The response bytes: each segment is copied in once, and the whole
+    /// becomes the completion's payload.
+    std::vector<std::uint8_t> bytes;
     TimePs t0 = 0;
     rpc::Status status = rpc::Status::Ok;
     std::uint64_t trace = 0;  // fabric-level request-trace id (0 = off)
@@ -310,14 +327,15 @@ class FabricClient {
   void block_any();
   /// One blocking step. With a single link this delegates to the link's
   /// own wait_some so the virtual-time op sequence is bit-identical to a
-  /// bare RpcClient (the golden-equivalence contract); with several it
-  /// force-flushes all links and waits for any response.
-  void block_step();
+  /// bare RpcClient (the golden-equivalence contract), unless an untaken
+  /// record (with `id` nonzero: `id`'s) already ends the caller's wait;
+  /// with several it force-flushes all links and waits for any response.
+  void block_step(std::uint64_t id = 0);
   std::uint64_t submit_striped(std::uint32_t response_cap, rpc::Class cls,
                                std::uint32_t tenant);
   std::uint32_t pick_link(std::uint32_t start, std::uint32_t rotation,
                           std::uint32_t width);
-  std::uint32_t plan_segment_bytes(std::uint32_t total) const;
+  std::uint32_t segment_bytes() const;
   void emit(rpc::Completion&& c);
   void register_metrics();
 
@@ -360,9 +378,7 @@ class FabricClient {
                                                                    // (link,
                                                                    // rpc id)
   std::map<std::uint64_t, Stripe> stripes_;
-  std::uint64_t next_id_ = 1;
-  std::map<std::uint64_t, rpc::Completion> done_;
-  std::deque<const rpc::Completion*> fresh_;
+  rpc::Handover done_;
   FabricClientStats stats_;
   LogHistogram lat_;
   std::vector<telemetry::ProbeHandle> probes_;

@@ -154,6 +154,8 @@ class Library {
   bool in_hugepages(VirtAddr addr) const { return huge_.owns(addr); }
 
   const LibraryStats& stats() const { return stats_; }
+  /// The carve granularity, as planned at construction.
+  std::uint64_t chunk() const { return chunk_; }
   HugeHeap& huge_heap() { return huge_; }
   LibcHeap& libc_heap() { return libc_; }
   const LibraryConfig& config() const { return cfg_; }

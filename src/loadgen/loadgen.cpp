@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <map>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -260,6 +261,20 @@ GenResult closed_loop_tracked(rpc::RpcClient& client, const Workload& w,
     worker_event = env.now();
     worker_signal.wake();
   };
+  // The id each worker waits on, and its latency once the poll loop took
+  // the record: taking it must not move the waiting worker's ready time.
+  struct Waiting {
+    std::uint64_t id = 0;
+    std::optional<TimePs> latency;
+  };
+  std::vector<Waiting> waiting(cfg.workers);
+  const auto take = [&] {
+    for (const rpc::Completion& c : client.take_completions()) {
+      for (Waiting& wt : waiting)
+        if (wt.id == c.id) wt.latency = c.latency;
+      record(res, c);
+    }
+  };
 
   const auto worker_fn = [&](std::uint32_t wk, sim::Context& wsc) {
     while (budget[wk] > 0) {
@@ -282,13 +297,16 @@ GenResult closed_loop_tracked(rpc::RpcClient& client, const Workload& w,
         continue;
       }
       --budget[wk];
+      waiting[wk].id = id;
       signal();
       wsc.wait("loadgen worker", {&client.completion_waker()},
-               [&client, id, t0]() -> std::optional<TimePs> {
-                 const rpc::Completion* c = client.find_completion(id);
-                 if (c == nullptr) return std::nullopt;
-                 return t0 + c->latency;
+               [&client, &wt = waiting[wk], t0]() -> std::optional<TimePs> {
+                 if (const rpc::Completion* c = client.find_completion(wt.id))
+                   return t0 + c->latency;
+                 if (wt.latency) return t0 + *wt.latency;
+                 return std::nullopt;
                });
+      waiting[wk] = {};
       if (cfg.think > 0) wsc.advance(cfg.think);
     }
     --live;
@@ -308,7 +326,7 @@ GenResult closed_loop_tracked(rpc::RpcClient& client, const Workload& w,
   // response can arrive or when a worker signals (a fresh submit that
   // may need flushing, or its own exit).
   while (live > 0) {
-    for (const rpc::Completion& c : client.take_completions()) record(res, c);
+    take();
     worker_event = 0;
     if (client.outstanding() > 0) {
       client.wait_some();
@@ -320,7 +338,7 @@ GenResult closed_loop_tracked(rpc::RpcClient& client, const Workload& w,
     });
   }
   for (const sim::TrackId t : tracks) sc.join_track(t);
-  for (const rpc::Completion& c : client.take_completions()) record(res, c);
+  take();
   client.drain();
   res.span = env.now() - start;
   res.start = start;

@@ -1010,6 +1010,18 @@ void Comm::handle_send_cqe(const hca::Cqe& cqe) {
 }
 
 void Comm::handle_recv_error(const hca::Cqe& cqe) {
+  const std::uint64_t pi = cqe.wr_id / cfg_.recv_slots;
+  const std::uint64_t slot = cqe.wr_id % cfg_.recv_slots;
+  const int peer = ib_peers_[pi];
+  // A message longer than the bounce slot is a configuration mismatch,
+  // not a transient fault: a repost would only truncate it again.
+  IBP_CHECK(cqe.status != hca::WcStatus::LocalLengthError,
+            "rank " << peer << " sent a " << cqe.byte_len
+                    << "-byte message into rank " << rank() << "'s "
+                    << cfg_.slot_bytes
+                    << "-byte receive slots: the ranks' CommConfigs disagree "
+                       "(a sender's eager_threshold or rndv_copy_max "
+                       "exceeds the receiver's slot_bytes)");
   IBP_CHECK(cfg_.recovery == CommConfig::Recovery::Repost,
             "transport receive completed in error ("
                 << hca::wc_status_name(cqe.status) << ")");
@@ -1017,9 +1029,6 @@ void Comm::handle_recv_error(const hca::Cqe& cqe) {
   // put the slot back. Messages that arrived while the QP was down were
   // either queued by the HCA (they match the reposted receives) or
   // errored back to the sender, which replays them.
-  const std::uint64_t pi = cqe.wr_id / cfg_.recv_slots;
-  const std::uint64_t slot = cqe.wr_id % cfg_.recv_slots;
-  const int peer = ib_peers_[pi];
   recover_qp(peer);
   hca::RecvWr wr;
   wr.wr_id = cqe.wr_id;

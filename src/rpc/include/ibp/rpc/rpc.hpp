@@ -191,6 +191,49 @@ struct Completion {
   std::vector<std::uint8_t> payload;  // response bytes (empty when shed)
 };
 
+/// The completion hand-over RpcClient and fabric::FabricClient share. It
+/// issues request ids and holds each finished request's record from the
+/// moment the request completes until a caller takes it: a record is
+/// handed over once, never kept. What outlives the take is per-id state
+/// (the issue watermark and the ids still open), so completed() and the
+/// late-duplicate check need no record.
+class Handover {
+ public:
+  /// A fresh request id, open until complete(). Ids start at 1; 0 is what
+  /// a rejected submit returns.
+  std::uint64_t issue() {
+    open_.push_back(next_id_);
+    return next_id_++;
+  }
+  /// Close `c.id` and hold its record until it is taken.
+  void complete(Completion c);
+  /// Issued and complete, whether or not its record was taken.
+  bool completed(std::uint64_t id) const;
+  /// The untaken record for `id`, or nullptr.
+  const Completion* find(std::uint64_t id) const;
+  /// Fail, naming `id`, unless a wait on it can end: `id` is open or its
+  /// record is untaken. `client` names the id space ("rpc", "fabric").
+  void check_waitable(std::uint64_t id, const char* client) const;
+  /// Move the untaken record for `id` out (find(id) must see it).
+  Completion take(std::uint64_t id);
+  /// Move every untaken record out, in completion order.
+  std::vector<Completion> take_all();
+  bool empty() const { return untaken_.empty(); }
+  /// Fires whenever a record appears. A take fires nothing: whoever takes
+  /// records that another lane's wait reads through find() hands that
+  /// lane what it read, so its ready time survives the take.
+  Waker& waker() { return waker_; }
+
+ private:
+  /// Issued and not complete yet.
+  bool open(std::uint64_t id) const;
+
+  std::uint64_t next_id_ = 1;
+  std::vector<std::uint64_t> open_;  // issued, not complete; ascending
+  std::vector<Completion> untaken_;  // complete, not taken; in that order
+  Waker waker_;
+};
+
 struct ClientStats {
   std::uint64_t submitted = 0;
   std::uint64_t rejected = 0;  // local queue full at submit()
@@ -269,29 +312,37 @@ class RpcClient {
   /// the flush_timeout deadline, ingest arrived response batches.
   void poll();
 
-  bool completed(std::uint64_t id) const { return done_.count(id) != 0; }
+  /// Whether `id` completed, whether or not its record was taken.
+  bool completed(std::uint64_t id) const { return done_.completed(id); }
 
-  /// Completion record for `id`, or nullptr while it is outstanding.
-  /// Non-blocking and side-effect free — usable from wait ready
-  /// functions (tracked closed-loop workers watch their own ids while
-  /// another track runs the poll loop), which name completion_waker().
+  /// The untaken completion record for `id`, or nullptr while `id` is
+  /// outstanding and once its record was taken. Non-blocking and
+  /// side-effect free — usable from wait ready functions (tracked
+  /// closed-loop workers watch their own ids while another track runs
+  /// the poll loop), which name completion_waker().
   const Completion* find_completion(std::uint64_t id) const {
-    const auto it = done_.find(id);
-    return it == done_.end() ? nullptr : &it->second;
+    return done_.find(id);
   }
 
-  /// Fires whenever a completion record appears.
-  Waker& completion_waker() { return completion_waker_; }
+  /// Fires whenever a completion record appears. A take fires nothing: a
+  /// lane that takes records while another lane waits on one through
+  /// find_completion() must hand the waiter the record's latency
+  /// (ibp::loadgen's tracked workers do), so its ready time survives.
+  Waker& completion_waker() { return done_.waker(); }
 
-  /// Block (in virtual time) until `id` completes; returns its record.
-  const Completion& wait(std::uint64_t id);
+  /// Block (in virtual time) until `id` completes, then take its record:
+  /// returned by value, it is no longer held (find_completion is null,
+  /// take_completions skips it). Fails fast on an id this client never
+  /// issued or has already handed over.
+  Completion wait(std::uint64_t id);
 
-  /// Block until at least one completion newer than the last
-  /// take_completions() call exists (requires work outstanding).
+  /// Block until at least one untaken completion record exists (requires
+  /// work outstanding).
   void wait_some();
 
-  /// Completions (in completion order) since the previous call.
-  std::vector<Completion> take_completions();
+  /// Move every untaken completion record out, in completion order. The
+  /// client keeps none of them.
+  std::vector<Completion> take_completions() { return done_.take_all(); }
 
   /// Force-flush queued requests now (thresholds bypassed), reclaiming
   /// send slots and retransmitting timed-out requests first. Multi-link
@@ -380,8 +431,6 @@ class RpcClient {
 
   VirtAddr slot_va(std::uint32_t slot) const;
   void reclaim_batches();
-  /// Record a finished request for find_completion/take_completions.
-  void add_completion(Completion c);
   /// Flush queued requests while thresholds (or `force`) say so and
   /// credits allow. Latency-class requests flush ahead of bulk.
   void maybe_flush(bool force);
@@ -432,9 +481,7 @@ class RpcClient {
   std::uint64_t flushed_records_ = 0;
   std::uint64_t parsed_records_ = 0;
   std::uint64_t expired_records_ = 0;
-  std::uint64_t next_id_ = 1;
-  std::map<std::uint64_t, Completion> done_;
-  std::deque<const Completion*> fresh_;  // completion order, not yet taken
+  Handover done_;
   ClientStats stats_;
   LogHistogram lat_;
   std::vector<telemetry::ProbeHandle> probes_;
@@ -443,7 +490,6 @@ class RpcClient {
   /// server RDMA-writes response records in. Null when the tier is off.
   std::unique_ptr<ringchan::RingReceiver> ring_rx_;
   std::vector<ringchan::RingReceiver::Record> ring_recs_;  // poll scratch
-  Waker completion_waker_;
   /// Fires when a flush arms a request deadline: a sibling track's
   /// submit may flush while the poll loop's blocking ingest waits.
   Waker deadline_waker_;

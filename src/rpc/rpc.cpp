@@ -1,6 +1,7 @@
 #include "ibp/rpc/rpc.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "ibp/common/check.hpp"
 #include "ibp/core/cluster.hpp"
@@ -53,6 +54,53 @@ Handler default_handler() {
     if (n != c) std::memset(out + c, 0, n - c);
     return n;
   };
+}
+
+// ---------------------------------------------------------------------------
+// Handover
+
+bool Handover::open(std::uint64_t id) const {
+  return std::binary_search(open_.begin(), open_.end(), id);
+}
+
+bool Handover::completed(std::uint64_t id) const {
+  return id != 0 && id < next_id_ && !open(id);
+}
+
+void Handover::complete(Completion c) {
+  const auto it = std::lower_bound(open_.begin(), open_.end(), c.id);
+  IBP_CHECK(it != open_.end() && *it == c.id,
+            "completion for request id " << c.id << ", which is not open");
+  open_.erase(it);
+  untaken_.push_back(std::move(c));
+  waker_.wake();
+}
+
+const Completion* Handover::find(std::uint64_t id) const {
+  for (const Completion& c : untaken_)
+    if (c.id == id) return &c;
+  return nullptr;
+}
+
+void Handover::check_waitable(std::uint64_t id, const char* client) const {
+  IBP_CHECK(open(id) || find(id) != nullptr,
+            "wait on " << client << " id " << id << ", which this client "
+                       << (id == 0 ? "returns for a rejected submit"
+                                   : "never issued or already handed over"));
+}
+
+Completion Handover::take(std::uint64_t id) {
+  const auto it =
+      std::find_if(untaken_.begin(), untaken_.end(),
+                   [id](const Completion& c) { return c.id == id; });
+  IBP_CHECK(it != untaken_.end(), "no untaken record for request id " << id);
+  Completion c = std::move(*it);
+  untaken_.erase(it);
+  return c;
+}
+
+std::vector<Completion> Handover::take_all() {
+  return std::exchange(untaken_, {});
 }
 
 // ---------------------------------------------------------------------------
@@ -141,7 +189,7 @@ std::uint64_t RpcClient::submit(std::span<const std::uint8_t> payload,
   core::RankEnv& env = comm_->env();
   const bool traced = hub_ != nullptr && hub_->active();
   WireHeader h;
-  h.id = next_id_++;
+  h.id = done_.issue();
   h.payload = static_cast<std::uint32_t>(payload.size());
   h.response_cap = response_cap;
   h.tenant = tenant;
@@ -330,7 +378,7 @@ void RpcClient::expire(std::uint64_t id) {
   // The server will never answer the flushed copies; forgive them so
   // drain() does not wait for response records that cannot arrive. A
   // late response (the server was merely slow) still lands safely in the
-  // duplicate path — the id stays in done_.
+  // duplicate path — the id stays completed.
   expired_records_ += inf.attempts;
   if (inf.trace != 0) {
     hub_->stage_mark(inf.trace, telemetry::Stage::NetResponse, comm_->rank(),
@@ -341,15 +389,7 @@ void RpcClient::expire(std::uint64_t id) {
   inflight_.erase(it);
   ++stats_.timed_out;
   ++stats_.completed;
-  add_completion(std::move(c));
-}
-
-void RpcClient::add_completion(Completion c) {
-  const std::uint64_t id = c.id;
-  auto [pos, fresh] = done_.emplace(id, std::move(c));
-  IBP_CHECK(fresh, "duplicate response id");
-  fresh_.push_back(&pos->second);
-  completion_waker_.wake();
+  done_.complete(std::move(c));
 }
 
 void RpcClient::abandon() {
@@ -383,7 +423,7 @@ void RpcClient::abandon() {
       }
       ++stats_.timed_out;
       ++stats_.completed;
-      add_completion(std::move(c));
+      done_.complete(std::move(c));
     }
   }
   while (!inflight_.empty()) expire(inflight_.begin()->first);
@@ -499,7 +539,8 @@ void RpcClient::parse_one(VirtAddr rec) {
     // A retransmit raced the original response; this copy is the
     // duplicate. Drop it (draining any out-of-band body so the
     // server's send completes).
-    IBP_CHECK(done_.count(h.id) != 0, "response for unknown request id");
+    IBP_CHECK(done_.completed(h.id),
+              "response for unknown request id " << h.id);
     ++stats_.duplicates;
     if ((h.flags & kFlagLarge) != 0) {
       const std::uint64_t blen = h.response_cap;
@@ -525,9 +566,8 @@ void RpcClient::parse_one(VirtAddr rec) {
     const VirtAddr buf = env.alloc(std::max<std::uint64_t>(blen, 64),
                                    placement::Role::RpcResponse);
     comm_->recv(buf, blen, server_, large_tag(h.id));
-    c.payload.resize(blen);
-    std::memcpy(c.payload.data(), env.host_ptr<std::uint8_t>(buf, blen),
-                blen);
+    const auto* p = env.host_ptr<std::uint8_t>(buf, blen);
+    c.payload.assign(p, p + blen);
     env.touch_stream(buf, blen);  // the application reads the response
     env.dealloc(buf);
     c.latency = env.now() - t0;  // body transfer counts toward latency
@@ -548,7 +588,7 @@ void RpcClient::parse_one(VirtAddr rec) {
     ++stats_.shed;
   }
   ++stats_.completed;
-  add_completion(std::move(c));
+  done_.complete(std::move(c));
 }
 
 void RpcClient::poll() {
@@ -584,43 +624,35 @@ void RpcClient::progress_block() {
   }
 }
 
-const Completion& RpcClient::wait(std::uint64_t id) {
-  while (!completed(id)) {
+Completion RpcClient::wait(std::uint64_t id) {
+  done_.check_waitable(id, "rpc");
+  while (done_.find(id) == nullptr) {
     reclaim_batches();
     check_timeouts();
     maybe_flush(true);
     if (cfg_.fail_timed_out) {
-      if (completed(id)) break;
+      if (done_.find(id) != nullptr) break;
       progress_block();
       continue;
     }
-    IBP_CHECK(!inflight_.empty(), "waiting on an id that was never submitted");
     try_ingest(true);
   }
-  return done_.at(id);
+  return done_.take(id);
 }
 
 void RpcClient::wait_some() {
   IBP_CHECK(outstanding() > 0, "wait_some with nothing outstanding");
-  while (fresh_.empty()) {
+  while (done_.empty()) {
     reclaim_batches();
     check_timeouts();
     maybe_flush(true);
     if (cfg_.fail_timed_out) {
-      if (!fresh_.empty()) break;
+      if (!done_.empty()) break;
       progress_block();
       continue;
     }
     try_ingest(true);
   }
-}
-
-std::vector<Completion> RpcClient::take_completions() {
-  std::vector<Completion> out;
-  out.reserve(fresh_.size());
-  for (const Completion* c : fresh_) out.push_back(*c);
-  fresh_.clear();
-  return out;
 }
 
 void RpcClient::flush() {

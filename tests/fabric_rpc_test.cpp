@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "handover_checks.hpp"
 #include "ibp/core/cluster.hpp"
 #include "ibp/fault/fault.hpp"
 #include "ibp/loadgen/loadgen.hpp"
@@ -121,7 +122,12 @@ TEST(ServingFabric, SmallRequestsPassThroughToHomeShard) {
 
 TEST(ServingFabric, StripedResponseReassemblesDeterministicPattern) {
   FabricConfig fc;
-  with_fabric(4, fc, [&](FabricClient& c, core::RankEnv&) {
+  with_fabric(4, fc, [&](FabricClient& c, core::RankEnv& env) {
+    const auto stripe_plans = [&env] {
+      return env.placement().stats().by_role[static_cast<int>(
+          placement::Role::StripeSegment)];
+    };
+    const std::uint64_t plans_before = stripe_plans();
     const std::vector<std::uint8_t> msg{9};
     const std::uint32_t kBulk = 32 * kKiB;
     const std::uint64_t id = c.submit(msg, kBulk, rpc::Class::Bulk, 5);
@@ -132,6 +138,9 @@ TEST(ServingFabric, StripedResponseReassemblesDeterministicPattern) {
     EXPECT_EQ(c.stats().stripes, 1u);
     EXPECT_GE(c.stats().segments, kBulk / fc.rpc.max_payload);
     EXPECT_EQ(c.stats().reassembled_bytes, kBulk);
+    // Segment sizing reads the placement chunk: the one stripe-segment
+    // plan is for the buffer the stripe allocates.
+    EXPECT_EQ(stripe_plans() - plans_before, 1u);
   });
 }
 
@@ -237,6 +246,73 @@ TEST(ServingFabric, OneServerFabricMatchesBareRpcByteForByte) {
   EXPECT_EQ(bare.trace_hash, wrapped.trace_hash);
   EXPECT_EQ(bare.span, wrapped.span);
   EXPECT_EQ(bare.ok, wrapped.ok);
+}
+
+TEST(ServingFabric, CompletionsAreHandedOverOnce) {
+  // A record is held from completion until a caller takes it, and then
+  // no longer: find_completion turns null while completed() stays true.
+  // A striped payload moves out of the stripe byte-exact, whichever way
+  // it is taken.
+  with_fabric(4, {}, [&](FabricClient& c, core::RankEnv&) {
+    const std::vector<std::uint8_t> msg{8};
+    const std::uint64_t a = c.submit({}, 32 * kKiB, rpc::Class::Bulk, 5);
+    const std::uint64_t b = c.submit({}, 24 * kKiB, rpc::Class::Bulk, 3);
+    const std::uint64_t p = c.submit(msg, 0, rpc::Class::Latency, 1);
+    ASSERT_NE(a, 0u);
+    ASSERT_NE(b, 0u);
+    ASSERT_NE(p, 0u);
+    const rpc::Completion got = c.wait(a);
+    ASSERT_EQ(got.payload.size(), 32 * kKiB);
+    expect_stripe_payload(got, 5);
+    EXPECT_EQ(c.find_completion(a), nullptr) << "wait(id) takes the record";
+    EXPECT_TRUE(c.completed(a));
+    std::vector<rpc::Completion> taken;
+    while (taken.size() < 2) {
+      c.wait_some();
+      for (rpc::Completion& done : c.take_completions())
+        taken.push_back(std::move(done));
+    }
+    ASSERT_EQ(taken.size(), 2u) << "a record wait() took is not taken again";
+    for (const rpc::Completion& done : taken) {
+      EXPECT_EQ(c.find_completion(done.id), nullptr);
+      EXPECT_TRUE(c.completed(done.id));
+      if (done.id == b) {
+        ASSERT_EQ(done.payload.size(), 24 * kKiB);
+        expect_stripe_payload(done, 3);
+      } else {
+        EXPECT_EQ(done.id, p);
+        EXPECT_EQ(done.payload, msg);
+      }
+    }
+    EXPECT_TRUE(c.take_completions().empty());
+    EXPECT_FALSE(c.completed(p + 1)) << "never issued";
+  });
+}
+
+TEST(ServingFabric, SingleLinkWaitSkipsOtherUntakenRecords) {
+  // On one link, a wait for a second request finds the first one's record
+  // untaken: it must block for its own record, not return at once and
+  // spin without ever advancing virtual time.
+  with_fabric(1, {}, [&](FabricClient& c, core::RankEnv&) {
+    const std::vector<std::uint8_t> first{1};
+    const std::vector<std::uint8_t> second{2, 2};
+    const std::uint64_t a = c.submit(first);
+    ASSERT_NE(a, 0u);
+    c.wait_some();
+    ASSERT_NE(c.find_completion(a), nullptr);
+    const std::uint64_t b = c.submit(second);
+    ASSERT_NE(b, 0u);
+    EXPECT_EQ(c.wait(b).payload, second);
+    EXPECT_EQ(c.wait(a).payload, first);
+  });
+}
+
+TEST(ServingFabric, WaitFailsFastOnAnIdNotOutstanding) {
+  for (std::uint32_t servers : {1u, 2u}) {
+    with_fabric(servers, {}, [](FabricClient& c, core::RankEnv&) {
+      test::expect_wait_fails_fast(c, "fabric");
+    });
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -484,6 +560,13 @@ TEST(FabricFailover, DegradationShedsBulkWhileShortHanded) {
       });
   EXPECT_GE(stats.degraded_shed, 1u);
   EXPECT_EQ(stats.failovers, 1u);
+}
+
+TEST(FabricFailover, WaitFailsFastOnAnIdNotOutstanding) {
+  with_failover_fabric(2, failover_config(), "",
+                       [](FabricClient& c, core::RankEnv&) {
+                         test::expect_wait_fails_fast(c, "fabric");
+                       });
 }
 
 TEST(ServingFabric, StripedClosedLoopReplayIsDeterministic) {

@@ -254,6 +254,54 @@ TEST(CommConfig, BadThresholdsRejected) {
                SimError);
 }
 
+/// Rank 0 copies rendezvous messages up to 32 KiB through 32 KiB bounce
+/// slots; rank 1 keeps the default 16 KiB + 64 B slots. One 24 KiB send
+/// cannot fit rank 1's slot. Returns the error the run fails with.
+std::string slot_mismatch_error(CommConfig::Recovery recovery) {
+  core::Cluster cluster(topo(2, 1));
+  try {
+    cluster.run([&](core::RankEnv& env) {
+      CommConfig cfg;
+      cfg.recovery = recovery;
+      if (env.rank() == 0) {
+        cfg.rndv_copy_max = 32 * kKiB;
+        cfg.slot_bytes = 32 * kKiB + 64;
+      }
+      Comm comm(env, cfg);
+      const VirtAddr buf = env.alloc(24 * kKiB);
+      if (env.rank() == 0) {
+        comm.send(buf, 24 * kKiB, 1, 1);
+      } else {
+        comm.recv(buf, 24 * kKiB, 0, 1);
+      }
+    });
+  } catch (const SimError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// A repost cannot cure a message longer than the receive slot, so the
+// receiver fails fast in both recovery modes, naming the sender, the
+// message length and its own slot size.
+TEST(CommConfig, SlotMismatchFailsFastNamingTheMismatch) {
+  const std::string error = slot_mismatch_error(CommConfig::Recovery::FailFast);
+  EXPECT_NE(error.find("rank 0 sent a " +
+                       std::to_string(24 * kKiB + kHeaderBytes) +
+                       "-byte message into rank 1's 16448-byte receive slots"),
+            std::string::npos)
+      << error;
+}
+
+TEST(CommConfig, SlotMismatchFailsFastUnderRepost) {
+  const std::string error = slot_mismatch_error(CommConfig::Recovery::Repost);
+  EXPECT_NE(error.find("rank 0 sent a " +
+                       std::to_string(24 * kKiB + kHeaderBytes) +
+                       "-byte message into rank 1's 16448-byte receive slots"),
+            std::string::npos)
+      << error;
+}
+
 }  // namespace
 }  // namespace ibp::mpi
 

@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "handover_checks.hpp"
 #include "ibp/core/cluster.hpp"
 #include "ibp/fault/fault.hpp"
 #include "ibp/loadgen/loadgen.hpp"
@@ -359,8 +360,9 @@ TEST(Rpc, AbandonCompletesOutstandingAsTimedOut) {
 TEST(Rpc, LateResponseAfterRetryIsDeduplicated) {
   // Service latency sits beyond the request deadline, so the client
   // retransmits while the genuine response is still on its way. The
-  // original completes the id; the retry's response must then hit the
-  // duplicate path instead of re-completing it.
+  // original completes the id and wait() takes its record; the retry's
+  // response must then hit the duplicate path through the per-id state
+  // instead of re-completing it or bringing a record back.
   RpcConfig rc;
   rc.service_base = us(60);
   rc.request_timeout = us(30);
@@ -375,6 +377,11 @@ TEST(Rpc, LateResponseAfterRetryIsDeduplicated) {
       for (std::uint64_t id : ids)
         if (c.wait(id).status == Status::Ok) ++ok;
       c.drain();
+      for (std::uint64_t id : ids) {
+        EXPECT_TRUE(c.completed(id));
+        EXPECT_EQ(c.find_completion(id), nullptr);
+      }
+      EXPECT_TRUE(c.take_completions().empty());
       stats = c.stats();
     });
     EXPECT_EQ(ok, 12u) << "the race must stay invisible to the caller";
@@ -388,6 +395,44 @@ TEST(Rpc, LateResponseAfterRetryIsDeduplicated) {
   const ClientStats b = run();
   EXPECT_EQ(a.retries, b.retries) << "the race must be deterministic";
   EXPECT_EQ(a.duplicates, b.duplicates);
+}
+
+TEST(Rpc, CompletionsAreHandedOverOnce) {
+  // A record is held from completion until a caller takes it, and then
+  // no longer: find_completion turns null while completed() stays true.
+  with_rpc({}, [](RpcClient& c) {
+    const auto msg = bytes({4, 5});
+    const std::uint64_t a = c.submit(msg);
+    const std::uint64_t b = c.submit(msg);
+    ASSERT_NE(a, 0u);
+    ASSERT_NE(b, 0u);
+    EXPECT_FALSE(c.completed(a));
+    const Completion got = c.wait(a);
+    EXPECT_EQ(got.payload, msg);
+    EXPECT_EQ(c.find_completion(a), nullptr) << "wait(id) takes the record";
+    EXPECT_TRUE(c.completed(a));
+    while (c.find_completion(b) == nullptr) c.wait_some();
+    const std::vector<Completion> taken = c.take_completions();
+    ASSERT_EQ(taken.size(), 1u) << "a record wait() took is not taken again";
+    EXPECT_EQ(taken[0].id, b);
+    EXPECT_EQ(taken[0].payload, msg);
+    EXPECT_EQ(c.find_completion(b), nullptr);
+    EXPECT_TRUE(c.completed(b));
+    EXPECT_TRUE(c.take_completions().empty());
+    EXPECT_FALSE(c.completed(0));
+    EXPECT_FALSE(c.completed(b + 1)) << "never issued";
+  });
+}
+
+TEST(Rpc, WaitFailsFastOnAnIdNotOutstanding) {
+  with_rpc({}, [](RpcClient& c) { test::expect_wait_fails_fast(c, "rpc"); });
+}
+
+TEST(Rpc, WaitFailsFastOnAnIdNotOutstandingUnderFailTimedOut) {
+  RpcConfig rc;
+  rc.request_timeout = us(4000);
+  rc.fail_timed_out = true;
+  with_rpc(rc, [](RpcClient& c) { test::expect_wait_fails_fast(c, "rpc"); });
 }
 
 // ---------------------------------------------------------------------------
@@ -622,13 +667,16 @@ PoolResult run_pooled(std::uint32_t workers, hca::ShareMode mode,
     RpcClient client(comm, 0, rc);
     const std::vector<std::uint8_t> msg(64, 7);
     std::vector<std::uint64_t> ids;
+    std::size_t waited = 0;  // ids[0, waited) are handed over
+    const auto wait_all = [&] {
+      for (; waited < ids.size(); ++waited) client.wait(ids[waited]);
+    };
     for (int i = 0; i < requests; ++i) {
       const std::uint64_t id = client.submit(msg, response_cap);
       if (id != 0) ids.push_back(id);
-      if (static_cast<int>(ids.size() % burst) == 0)
-        for (std::uint64_t x : ids) client.wait(x);
+      if (static_cast<int>(ids.size() % burst) == 0) wait_all();
     }
-    for (std::uint64_t x : ids) client.wait(x);
+    wait_all();
     out.client = client.stats();
     client.close();
   });
