@@ -12,10 +12,8 @@
 // capacity cliff the paper depends on.
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
 
-#include "ibp/common/check.hpp"
+#include "ibp/common/lru.hpp"
 #include "ibp/common/types.hpp"
 
 namespace ibp::cpu {
@@ -57,7 +55,7 @@ class Tlb {
   /// served from cached page-table nodes, the full walk cost otherwise.
   TimePs access(VirtAddr page_va, std::uint64_t page_size) {
     const bool huge = page_size == kHugePageSize;
-    Lru& lru = huge ? huge_ : small_;
+    LruSet& lru = huge ? huge_ : small_;
     const bool hit = lru.touch(page_va);
     if (huge) {
       hit ? ++stats_.hits_huge : ++stats_.misses_huge;
@@ -80,43 +78,10 @@ class Tlb {
   const TlbConfig& config() const { return cfg_; }
 
  private:
-  /// Fully associative LRU set of page tags.
-  class Lru {
-   public:
-    explicit Lru(std::uint32_t capacity) : capacity_(capacity) {}
-
-    /// Returns true on hit; inserts (possibly evicting) on miss.
-    bool touch(VirtAddr tag) {
-      auto it = index_.find(tag);
-      if (it != index_.end()) {
-        order_.splice(order_.begin(), order_, it->second);
-        return true;
-      }
-      if (capacity_ == 0) return false;  // degenerate: everything misses
-      if (index_.size() == capacity_) {
-        index_.erase(order_.back());
-        order_.pop_back();
-      }
-      order_.push_front(tag);
-      index_[tag] = order_.begin();
-      return false;
-    }
-
-    void clear() {
-      order_.clear();
-      index_.clear();
-    }
-
-   private:
-    std::uint32_t capacity_;
-    std::list<VirtAddr> order_;
-    std::unordered_map<VirtAddr, std::list<VirtAddr>::iterator> index_;
-  };
-
   TlbConfig cfg_;
-  Lru small_;
-  Lru huge_;
-  Lru walk_cache_;
+  LruSet small_;
+  LruSet huge_;
+  LruSet walk_cache_;
   TlbStats stats_;
 };
 

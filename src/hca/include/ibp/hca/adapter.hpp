@@ -359,7 +359,7 @@ class Adapter {
   int pod_ = 0;
   AdapterStats stats_;
   ArbState device_arb_;
-  LruSet<std::uint64_t> att_;  // key: (lkey << 32) | translation index
+  LruSet att_;  // key: (lkey << 32) | translation index
   std::uint32_t next_key_ = 1;
   TimePs tx_bulk_busy_ = 0;
   TimePs tx_ctrl_busy_ = 0;

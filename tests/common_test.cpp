@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
 #include <set>
 #include <sstream>
+#include <unordered_map>
 
 #include "ibp/common/check.hpp"
 #include "ibp/common/lru.hpp"
@@ -204,7 +207,7 @@ TEST(SampleSet, Quantiles) {
 }
 
 TEST(LruSet, EvictsLeastRecentlyUsed) {
-  LruSet<int> lru(2);
+  LruSet lru(2);
   EXPECT_FALSE(lru.touch(1));
   EXPECT_FALSE(lru.touch(2));
   EXPECT_TRUE(lru.touch(1));   // 1 now MRU
@@ -215,21 +218,110 @@ TEST(LruSet, EvictsLeastRecentlyUsed) {
 }
 
 TEST(LruSet, ZeroCapacityNeverHits) {
-  LruSet<int> lru(0);
+  LruSet lru(0);
   EXPECT_FALSE(lru.touch(1));
   EXPECT_FALSE(lru.touch(1));
   EXPECT_EQ(lru.size(), 0u);
 }
 
-TEST(LruSet, EraseAndClear) {
-  LruSet<int> lru(4);
-  lru.touch(1);
-  lru.touch(2);
-  lru.erase(1);
-  EXPECT_FALSE(lru.contains(1));
-  EXPECT_TRUE(lru.contains(2));
-  lru.clear();
-  EXPECT_EQ(lru.size(), 0u);
+TEST(LruSet, CapacityMustFitTheEntryIndex) {
+  EXPECT_THROW({ LruSet lru(std::uint64_t{1} << 32); }, SimError);
+  // Storage grows with use, so the largest capacity costs nothing up front.
+  LruSet largest(0xffffffffu);
+  EXPECT_EQ(largest.capacity(), 0xffffffffu);
+  EXPECT_FALSE(largest.touch(kHugePageSize));
+  EXPECT_TRUE(largest.touch(kHugePageSize));
+  EXPECT_EQ(largest.size(), 1u);
+}
+
+/// The list + hash-map LRU set that `LruSet` replaced, kept as the
+/// reference model for the differential test.
+class ReferenceLru {
+ public:
+  explicit ReferenceLru(std::uint64_t capacity) : capacity_(capacity) {}
+
+  bool touch(std::uint64_t key) {
+    auto it = index_.find(key);
+    if (it != index_.end()) {
+      order_.splice(order_.begin(), order_, it->second);
+      return true;
+    }
+    if (capacity_ == 0) return false;
+    if (index_.size() == capacity_) {
+      index_.erase(order_.back());
+      order_.pop_back();
+    }
+    order_.push_front(key);
+    index_[key] = order_.begin();
+    return false;
+  }
+
+  void clear() {
+    order_.clear();
+    index_.clear();
+  }
+
+  std::uint64_t size() const { return index_.size(); }
+
+ private:
+  std::uint64_t capacity_;
+  std::list<std::uint64_t> order_;
+  std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator>
+      index_;
+};
+
+TEST(LruSet, MatchesListAndMapReference) {
+  // Every capacity a platform sets (TLB halves 8 to 1,024, ATT 64 to
+  // 1,024, walk cache 4,096) and the degenerate ones, each driven with the
+  // three key shapes the callers use.
+  enum class Keys { SmallPages, HugePages, PackedAtt };
+  for (const std::uint64_t cap : {0, 1, 2, 8, 64, 96, 256, 544, 1024, 4096}) {
+    for (const Keys shape : {Keys::SmallPages, Keys::HugePages,
+                             Keys::PackedAtt}) {
+      SCOPED_TRACE(::testing::Message() << "capacity " << cap << ", keys "
+                                        << static_cast<int>(shape));
+      auto key_of = [shape](std::uint64_t i) -> std::uint64_t {
+        switch (shape) {
+          case Keys::SmallPages:
+            return 0x7f0000000000ull + i * kSmallPageSize;
+          case Keys::HugePages:
+            return 0x7f0000000000ull + i * kHugePageSize;
+          case Keys::PackedAtt:  // (lkey << 32) | translation index
+            return ((1 + i % 5) << 32) | (i / 5);
+        }
+        return 0;
+      };
+      Rng rng(1000 * cap + static_cast<std::uint64_t>(shape) + 1);
+      LruSet lru(cap);
+      ReferenceLru ref(cap);
+      // A key pool a quarter larger than the set: uniform draws mix hits
+      // and misses, cyclic scans over it thrash. Clears come rarely enough
+      // that the set fills and evicts between them.
+      const std::uint64_t pool = cap + cap / 4 + 4;
+      const std::uint64_t clear_every = 4 * cap + 64;
+      const std::uint64_t ops = std::max<std::uint64_t>(20000, 12 * cap);
+      std::uint64_t scan = 0, hits = 0, evictions = 0;
+      for (std::uint64_t op = 1; op <= ops; ++op) {
+        if (op % clear_every == 0) {
+          lru.clear();
+          ref.clear();
+        } else {
+          const std::uint64_t i =
+              rng.next_below(5) < 3 ? rng.next_below(pool) : scan++ % pool;
+          const bool full = cap != 0 && ref.size() == cap;
+          const bool hit = ref.touch(key_of(i));
+          ASSERT_EQ(lru.touch(key_of(i)), hit) << "op " << op;
+          hits += hit;
+          evictions += full && !hit;
+        }
+        ASSERT_EQ(lru.size(), ref.size()) << "op " << op;
+      }
+      if (cap != 0) {
+        EXPECT_GT(hits, 0u);
+        EXPECT_GT(evictions, 0u);
+      }
+    }
+  }
 }
 
 TEST(TextTable, AlignsColumns) {

@@ -615,6 +615,42 @@ TEST(AttCache, HugeTranslationsCoverMoreBytesPerEntry) {
   EXPECT_LE(t.a.stats().att_misses, 4u);
 }
 
+TEST(AttCache, StreamingPastCapacityThrashesAndUnderCapacityHits) {
+  // Sends a region of `pages` 4 KB translations twice and returns each
+  // pass's sender-side ATT (hits, misses).
+  auto stream_twice = [](std::uint64_t pages) {
+    TwoNodes t;
+    const std::uint64_t len = pages * kSmallPageSize;
+    auto& ma = t.as_a.map(len, mem::PageKind::Small);
+    auto& mb = t.as_b.map(len, mem::PageKind::Small);
+    const auto ra = t.a.reg_mr(t.as_a, ma.va_base, len, kSmallPageSize);
+    const auto rb = t.b.reg_mr(t.as_b, mb.va_base, len, kSmallPageSize);
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> passes;
+    for (TimePs now : {TimePs{0}, ms(10)}) {
+      const AdapterStats before = t.a.stats();
+      RecvWr rwr;
+      rwr.sges = {{mb.va_base, static_cast<std::uint32_t>(len), rb.mr->lkey}};
+      t.qb->post_recv(rwr, now);
+      SendWr swr;
+      swr.sges = {{ma.va_base, static_cast<std::uint32_t>(len), ra.mr->lkey}};
+      t.qa->post_send(swr, now);
+      passes.emplace_back(t.a.stats().att_hits - before.att_hits,
+                          t.a.stats().att_misses - before.att_misses);
+    }
+    return passes;
+  };
+  const std::uint64_t cap = AdapterConfig{}.att_entries;
+  ASSERT_GT(cap, 1u);
+  // One more than fits: each entry is evicted just before its reuse.
+  const auto over = stream_twice(cap + 1);
+  EXPECT_EQ(over[0], std::make_pair(std::uint64_t{0}, cap + 1));
+  EXPECT_EQ(over[1], std::make_pair(std::uint64_t{0}, cap + 1));
+  // One fewer than fits: the second pass finds every entry resident.
+  const auto under = stream_twice(cap - 1);
+  EXPECT_EQ(under[0], std::make_pair(std::uint64_t{0}, cap - 1));
+  EXPECT_EQ(under[1], std::make_pair(cap - 1, std::uint64_t{0}));
+}
+
 TEST(Timing, OffsetChangesSmallMessageCost) {
   // The fig4 mechanism at the adapter level: an 8-byte buffer at offset 60
   // spans two bus lines, at offset 0 only one.
