@@ -55,15 +55,16 @@ Run replay(hugepage::FitPolicy fit,
   return r;
 }
 
-/// Replay the trace through the full library with a placement policy
-/// deciding backing and chunking per allocation.
-TimePs replay_policy(const ibp::placement::PolicyInfo& info,
-                     const std::vector<workloads::TraceOp>& ops) {
+/// Replay the trace through the full library, preloaded (the paper's
+/// 32 KB routing) or not (everything on libc's small pages).
+TimePs replay_library(bool preloaded,
+                      const std::vector<workloads::TraceOp>& ops) {
   mem::PhysicalMemory phys(1 * kGiB, 512, 7);
   mem::HugeTlbFs fs(&phys, 512, 2);
   mem::AddressSpace space(&phys, &fs);
-  placement::PlacementEngine engine = bench::make_bench_engine(info.name);
-  hugepage::Library lib(space, fs, {}, &engine);
+  hugepage::LibraryConfig lcfg;
+  lcfg.enabled = preloaded;
+  hugepage::Library lib(space, fs, lcfg);
 
   std::vector<VirtAddr> slots(workloads::trace_slot_count());
   TimePs cost = 0;
@@ -113,9 +114,15 @@ int main() {
 
   std::printf("\ntrace cost by placement policy (full library, policy "
               "decides backing/chunking):\n\n");
-  bench::run_policy_sweep("trace cost [us]",
-                          [&](const placement::PolicyInfo& info) {
-                            return replay_policy(info, ops);
-                          });
+  const TimePs paper = replay_library(true, ops);
+  const TimePs baseline = replay_library(false, ops);
+  char rel[32];
+  std::snprintf(rel, sizeof rel, "%+.1f %%",
+                bench::pct_change(static_cast<double>(paper),
+                                  static_cast<double>(baseline)));
+  TextTable pt({"placement policy", "trace cost [us]", "vs paper-default"});
+  pt.add_row("paper-default", ps_to_us(paper), "-");
+  pt.add_row("small-page-baseline", ps_to_us(baseline), rel);
+  pt.print();
   return 0;
 }

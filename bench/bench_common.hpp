@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -17,7 +16,6 @@
 #include "ibp/core/cluster.hpp"
 #include "ibp/cpu/timebase.hpp"
 #include "ibp/hca/types.hpp"
-#include "ibp/placement/placement.hpp"
 #include "ibp/platform/platform.hpp"
 #include "ibp/telemetry/sink.hpp"
 
@@ -116,32 +114,6 @@ inline double pct_change(double baseline, double improved) {
   return (baseline - improved) / baseline * 100.0;
 }
 
-/// Shared placement-policy sweep: run `measure` once per registered
-/// placement policy and print a table of the metric plus its change
-/// relative to paper-default. New policies registered in ibp::placement
-/// show up in every bench using this helper with no bench changes.
-inline void run_policy_sweep(
-    const char* metric_label,
-    const std::function<TimePs(const placement::PolicyInfo&)>& measure) {
-  TextTable t({"placement policy", metric_label, "vs paper-default"});
-  TimePs ref = 0;
-  for (const placement::PolicyInfo& info :
-       placement::registered_policies()) {
-    const TimePs v = measure(info);
-    if (info.name == "paper-default") ref = v;
-    char rel[32];
-    if (ref != 0 && info.name != "paper-default") {
-      std::snprintf(rel, sizeof rel, "%+.1f %%",
-                    pct_change(static_cast<double>(ref),
-                               static_cast<double>(v)));
-    } else {
-      std::snprintf(rel, sizeof rel, "-");
-    }
-    t.add_row(std::string(info.name), ps_to_us(v), std::string(rel));
-  }
-  t.print();
-}
-
 /// One named bench phase and the metric movement it caused.
 struct PhaseDelta {
   std::string name;
@@ -186,18 +158,6 @@ inline void write_phases_json(const std::vector<PhaseDelta>& phases,
   }
   if (!phases.empty()) os << "\n" << indent;
   os << "}";
-}
-
-/// A standalone PlacementEngine for heap-level benches (no cluster): the
-/// named policy against a hugepage-enabled context.
-inline placement::PlacementEngine make_bench_engine(
-    std::string_view policy_name, std::uint64_t huge_threshold = 32 * kKiB) {
-  auto policy = placement::make_policy(policy_name);
-  IBP_CHECK(policy != nullptr, "unknown policy in bench sweep");
-  placement::PolicyContext ctx;
-  ctx.huge_threshold = huge_threshold;
-  ctx.hugepages_enabled = true;
-  return placement::PlacementEngine(std::move(policy), ctx);
 }
 
 }  // namespace ibp::bench

@@ -20,8 +20,6 @@
 // fabric_scale_golden and fabric_crash_golden ctests pin --short --json.
 //
 // Optional arguments:
-//   --placement=POLICY      plan every buffer with the named policy
-//                           (hugepage library on)
 //   --shard-map=STRAT       hash | range | affinity (default hash)
 //   --fault=SPEC            fault-plan DSL applied to the sweep runs
 //                           (the golden pair always runs fault-free);
@@ -73,16 +71,11 @@ struct RunOut {
   }
 };
 
-core::ClusterConfig cluster_config(int servers, const std::string& policy,
-                                   bool faulted) {
+core::ClusterConfig cluster_config(int servers, bool faulted) {
   core::ClusterConfig cfg;
   cfg.platform = platform::opteron_pcie_infinihost();
   cfg.nodes = servers + 1;  // rank 0 is the client
   cfg.ranks_per_node = 1;
-  if (!policy.empty()) {
-    cfg.placement_policy = policy;
-    cfg.hugepage_library = true;
-  }
   if (faulted) cfg.fault = g_plan;
   if (!g_trace_out.empty()) cfg.request_trace.enabled = true;
   return cfg;
@@ -107,10 +100,8 @@ fabric::FabricConfig fabric_config(std::uint32_t width,
 
 /// Closed-loop bulk traffic against `servers` ranks, striped `width` wide.
 RunOut run_fabric(std::uint32_t servers, std::uint32_t width,
-                  std::uint64_t requests, fabric::ShardStrategy strategy,
-                  const std::string& policy) {
-  core::Cluster cluster(
-      cluster_config(static_cast<int>(servers), policy, true));
+                  std::uint64_t requests, fabric::ShardStrategy strategy) {
+  core::Cluster cluster(cluster_config(static_cast<int>(servers), true));
   RunOut out;
   out.servers = servers;
   out.width = width;
@@ -164,7 +155,7 @@ struct GoldenOut {
 /// Golden-equivalence: identical un-striped workload through the plain
 /// RpcClient/RpcServer pair and through a 1-server fabric. The fabric
 /// must be a transparent wrapper: same trace hash, same virtual span.
-GoldenOut run_golden(std::uint64_t requests, const std::string& policy) {
+GoldenOut run_golden(std::uint64_t requests) {
   GoldenOut out;
   loadgen::Workload w;
   w.request_bytes = 128;
@@ -177,7 +168,7 @@ GoldenOut run_golden(std::uint64_t requests, const std::string& policy) {
   cc.seed = 17;
 
   {
-    core::Cluster cluster(cluster_config(1, policy, false));
+    core::Cluster cluster(cluster_config(1, false));
     cluster.run([&](core::RankEnv& env) {
       mpi::CommConfig mc;
       mc.sge_gather = true;
@@ -194,7 +185,7 @@ GoldenOut run_golden(std::uint64_t requests, const std::string& policy) {
     });
   }
   {
-    core::Cluster cluster(cluster_config(1, policy, false));
+    core::Cluster cluster(cluster_config(1, false));
     cluster.run([&](core::RankEnv& env) {
       mpi::CommConfig mc;
       mc.sge_gather = true;
@@ -262,13 +253,11 @@ void json_result(std::ofstream& out, const RunOut& r, const char* indent) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string placement, json_path, shard = "hash";
+  std::string json_path, shard = "hash";
   std::string fault_spec, fault_file, recovery;
   bool short_mode = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--placement=", 12) == 0) {
-      placement = argv[i] + 12;
-    } else if (std::strncmp(argv[i], "--shard-map=", 12) == 0) {
+    if (std::strncmp(argv[i], "--shard-map=", 12) == 0) {
       shard = argv[i] + 12;
     } else if (std::strncmp(argv[i], "--fault=", 8) == 0) {
       fault_spec = argv[i] + 8;
@@ -314,8 +303,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("EXT-FABRIC — sharded serving fabric, striped bulk reads%s\n\n",
-              placement.empty() ? "" : (" [" + placement + "]").c_str());
+  std::printf("EXT-FABRIC — sharded serving fabric, striped bulk reads\n\n");
   if (!g_plan.empty())
     std::printf("fault plan (sweeps only, golden stays clean): %s\n\n",
                 fault::describe(g_plan).c_str());
@@ -334,8 +322,7 @@ int main(int argc, char** argv) {
   std::vector<RunOut> scale_runs;
   double mbps1 = 0, mbps4 = 0;
   for (std::uint32_t s : scale) {
-    scale_runs.push_back(run_fabric(s, kWidth, requests, *strategy,
-                                    placement));
+    scale_runs.push_back(run_fabric(s, kWidth, requests, *strategy));
     print_result(scale_runs.back());
     if (s == 1) mbps1 = scale_runs.back().bulk_mbps();
     if (s == 4) mbps4 = scale_runs.back().bulk_mbps();
@@ -346,12 +333,12 @@ int main(int argc, char** argv) {
   std::printf("width sweep (4 servers):\n");
   std::vector<RunOut> width_runs;
   for (std::uint32_t wd : widths) {
-    width_runs.push_back(run_fabric(4, wd, requests, *strategy, placement));
+    width_runs.push_back(run_fabric(4, wd, requests, *strategy));
     print_result(width_runs.back());
   }
   std::printf("\n");
 
-  const GoldenOut golden = run_golden(requests, placement);
+  const GoldenOut golden = run_golden(requests);
   const bool identical = golden.rpc.trace_hash == golden.fab.trace_hash &&
                          golden.rpc.span == golden.fab.span;
   std::printf("golden: rpc 0x%016llx  1-server fabric 0x%016llx  %s\n",
@@ -365,9 +352,8 @@ int main(int argc, char** argv) {
     char digest[32];
     std::snprintf(digest, sizeof(digest), "0x%016llx",
                   static_cast<unsigned long long>(map.digest()));
-    out << "{\n  \"bench\": \"ext_fabric_scale\",\n  \"placement\": \""
-        << (placement.empty() ? "paper-default" : placement)
-        << "\",\n  \"bulk_bytes\": " << kBulkBytes
+    out << "{\n  \"bench\": \"ext_fabric_scale\",\n  \"bulk_bytes\": "
+        << kBulkBytes
         << ",\n  \"shard_map\": {\"strategy\": \""
         << fabric::shard_strategy_name(*strategy)
         << "\", \"epoch\": 0, \"digest\": \"" << digest << "\"},\n";

@@ -6,9 +6,8 @@
 // wire losses. All runs are deterministic (seeded injector RNG streams).
 
 // Optional arguments (absent: the small-vs-huge table below, byte-
-// identical across runs):
-//   --placement=POLICY  run the drop-rate sweep with the named placement
-//                       policy planning every buffer (hugepage library on)
+// identical across runs). Either one runs the drop-rate sweep with the
+// hugepage library on alone and records per-size metric deltas:
 //   --short             fewer drop rates/iterations (the ctest mode)
 //   --json=PATH         also write the measured points as JSON
 
@@ -31,14 +30,12 @@ struct SweepPoint {
   std::vector<bench::PhaseDelta> phases;  // per-size metric deltas
 };
 
-SweepPoint run(double drop, bool hugepages, const std::string& policy = "paper-default",
-               int iters = 4) {
+SweepPoint run(double drop, bool hugepages, int iters = 4) {
   core::ClusterConfig cfg;
   cfg.platform = platform::opteron_pcie_infinihost();
   cfg.nodes = 2;
   cfg.ranks_per_node = 1;
   cfg.hugepage_library = hugepages;
-  cfg.placement_policy = policy;
   if (drop > 0.0) {
     fault::LinkFault lf;  // both directions of the 0<->1 link
     lf.drop_prob = drop;
@@ -64,12 +61,10 @@ SweepPoint run(double drop, bool hugepages, const std::string& policy = "paper-d
   return sp;
 }
 
-void write_json(const std::string& path, const std::string& placement,
-                const std::vector<double>& drops,
+void write_json(const std::string& path, const std::vector<double>& drops,
                 const std::vector<SweepPoint>& sps) {
   std::ofstream out(path);
-  out << "{\n  \"bench\": \"ext_fault_sweep\",\n  \"placement\": \""
-      << placement << "\",\n  \"points\": [\n";
+  out << "{\n  \"bench\": \"ext_fault_sweep\",\n  \"points\": [\n";
   for (std::size_t i = 0; i < sps.size(); ++i) {
     out << "    {\"drop\": " << drops[i] << ", \"mbytes_per_sec_64k\": "
         << sps[i].pts[0].mbytes_per_sec << ", \"mbytes_per_sec_16m\": "
@@ -84,34 +79,24 @@ void write_json(const std::string& path, const std::string& placement,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string placement, json_path;
+  std::string json_path;
   bool short_mode = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--placement=", 12) == 0) {
-      placement = argv[i] + 12;
-    } else if (std::strcmp(argv[i], "--short") == 0) {
+    if (std::strcmp(argv[i], "--short") == 0) {
       short_mode = true;
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
       json_path = argv[i] + 7;
     } else {
       std::fprintf(stderr,
-                   "usage: ext_fault_sweep [--placement=POLICY] [--short] "
-                   "[--json=PATH]\n");
+                   "usage: ext_fault_sweep [--short] [--json=PATH]\n");
       return 2;
     }
   }
 
-  if (!placement.empty() || short_mode || !json_path.empty()) {
-    if (placement.empty()) placement = "paper-default";
-    if (placement::make_policy(placement) == nullptr) {
-      std::fprintf(stderr, "unknown placement policy '%s' (known: %s)\n",
-                   placement.c_str(),
-                   placement::known_policy_names().c_str());
-      return 2;
-    }
-    std::printf("EXT-FAULT (policy mode): SendRecv bandwidth vs drop rate, "
-                "placement=%s, hugepage library on%s\n\n",
-                placement.c_str(), short_mode ? ", short" : "");
+  if (short_mode || !json_path.empty()) {
+    std::printf("EXT-FAULT: SendRecv bandwidth vs drop rate, hugepage "
+                "library on%s\n\n",
+                short_mode ? ", short" : "");
     const std::vector<double> drops =
         short_mode ? std::vector<double>{0.0, 0.01}
                    : std::vector<double>{0.0, 0.001, 0.01, 0.05};
@@ -119,7 +104,7 @@ int main(int argc, char** argv) {
     TextTable pt({"drop rate", "64K MB/s", "1M MB/s", "16M MB/s",
                   "retransmits", "dropped"});
     for (double drop : drops) {
-      sps.push_back(run(drop, true, placement, short_mode ? 2 : 4));
+      sps.push_back(run(drop, true, short_mode ? 2 : 4));
       const SweepPoint& sp = sps.back();
       char rate[32];
       std::snprintf(rate, sizeof rate, "%.1f %%", drop * 100.0);
@@ -127,7 +112,7 @@ int main(int argc, char** argv) {
                  sp.pts[2].mbytes_per_sec, sp.retransmits, sp.dropped);
     }
     pt.print();
-    if (!json_path.empty()) write_json(json_path, placement, drops, sps);
+    if (!json_path.empty()) write_json(json_path, drops, sps);
     return 0;
   }
 

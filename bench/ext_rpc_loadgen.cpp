@@ -2,8 +2,8 @@
 // load generators.
 //
 // Open loop: 128 B requests offered well above capacity, batching on vs
-// off. With batching, queued requests coalesce into one gather WR (SGE
-// budget from the placement plan), amortising per-WR posting overhead on
+// off. With batching, queued requests coalesce into one gather WR (at
+// most mpi::Comm::kMaxSges SGEs), amortising per-WR posting overhead on
 // both sides — the §7 scatter/gather argument applied to serving instead
 // of MPI datatypes. Off, every request pays its own WR.
 //
@@ -19,8 +19,6 @@
 //
 // Optional arguments:
 //   --mode=open|closed|all  which experiment (default all)
-//   --placement=POLICY      plan every buffer with the named policy
-//                           (hugepage library on)
 //   --short                 fewer requests (the ctest golden mode)
 //   --json=PATH             also write results as JSON
 //   --request-trace-out=PATH  enable per-request tracing; the file holds
@@ -62,24 +60,19 @@ struct RunOut {
   double shed_total_metric = 0.0;  // cluster metric rpc.shed_total
 };
 
-core::ClusterConfig cluster_config(const std::string& policy) {
+core::ClusterConfig cluster_config() {
   core::ClusterConfig cfg;
   cfg.platform = platform::opteron_pcie_infinihost();
   cfg.nodes = 2;
   cfg.ranks_per_node = 1;
-  if (!policy.empty()) {
-    cfg.placement_policy = policy;
-    cfg.hugepage_library = true;
-  }
   if (!g_trace_out.empty()) cfg.request_trace.enabled = true;
   return cfg;
 }
 
 /// Open loop, offered above capacity: achieved req/s is the serving
 /// capacity of the configuration.
-RunOut run_open(bool batching, double rate, std::uint64_t requests,
-                const std::string& policy) {
-  core::Cluster cluster(cluster_config(policy));
+RunOut run_open(bool batching, double rate, std::uint64_t requests) {
+  core::Cluster cluster(cluster_config());
   RunOut out;
   cluster.run([&](core::RankEnv& env) {
     mpi::CommConfig mc;
@@ -124,9 +117,8 @@ RunOut run_open(bool batching, double rate, std::uint64_t requests,
   return out;
 }
 
-RunOut run_closed(std::uint32_t workers, std::uint64_t requests,
-                  const std::string& policy) {
-  core::Cluster cluster(cluster_config(policy));
+RunOut run_closed(std::uint32_t workers, std::uint64_t requests) {
+  core::Cluster cluster(cluster_config());
   RunOut out;
   cluster.run([&](core::RankEnv& env) {
     mpi::CommConfig mc;
@@ -214,13 +206,11 @@ double p99_ratio(const RunOut& overload, const RunOut& uncont) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string mode = "all", placement, json_path;
+  std::string mode = "all", json_path;
   bool short_mode = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--mode=", 7) == 0) {
       mode = argv[i] + 7;
-    } else if (std::strncmp(argv[i], "--placement=", 12) == 0) {
-      placement = argv[i] + 12;
     } else if (std::strcmp(argv[i], "--short") == 0) {
       short_mode = true;
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
@@ -239,8 +229,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::printf("EXT-RPC — serving layer under deterministic load%s\n\n",
-              placement.empty() ? "" : (" [" + placement + "]").c_str());
+  std::printf("EXT-RPC — serving layer under deterministic load\n\n");
 
   RunOut batched, unbatched, uncont, overload;
   const double rate = 8e6;  // far above capacity: measures capacity
@@ -249,8 +238,8 @@ int main(int argc, char** argv) {
   const std::uint32_t w_base = 2, w_over = 32;
 
   if (do_open) {
-    batched = run_open(true, rate, open_n, placement);
-    unbatched = run_open(false, rate, open_n, placement);
+    batched = run_open(true, rate, open_n);
+    unbatched = run_open(false, rate, open_n);
     std::printf("open loop, 128 B requests offered at %.0fM req/s:\n",
                 rate / 1e6);
     print_result("batched", batched);
@@ -258,8 +247,8 @@ int main(int argc, char** argv) {
     std::printf("  batching speedup: %.2fx\n\n", speedup(batched, unbatched));
   }
   if (do_closed) {
-    uncont = run_closed(w_base, closed_n, placement);
-    overload = run_closed(w_over, closed_n, placement);
+    uncont = run_closed(w_base, closed_n);
+    overload = run_closed(w_over, closed_n);
     std::printf("closed loop, admission queue cap %u:\n", kClosedQueueCap);
     print_result("2 workers", uncont);
     print_result("32 workers", overload);
@@ -270,8 +259,7 @@ int main(int argc, char** argv) {
   if (!json_path.empty()) {
     std::ofstream out(json_path);
     out << "{\n  \"bench\": \"ext_rpc_loadgen\",\n  \"mode\": \"" << mode
-        << "\",\n  \"placement\": \""
-        << (placement.empty() ? "paper-default" : placement) << "\"";
+        << "\"";
     if (do_open) {
       out << ",\n  \"open\": {\n    \"offered_rps\": "
           << static_cast<std::uint64_t>(rate) << ",\n";

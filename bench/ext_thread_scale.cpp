@@ -12,7 +12,7 @@
 //     overlaps.
 //   * per-thread-qp — each worker owns a private response ring (QP and
 //     slots), so posts never arbitrate; the cost is T x the
-//     registration footprint, visible to the placement layer.
+//     registration footprint, allocated through the hugepage library.
 //   * dispatcher — workers hand finished responses to the dispatcher
 //     track at a fixed hand-off cost; only the dispatcher touches the
 //     QP, so there is no arbitration and batches aggregate across

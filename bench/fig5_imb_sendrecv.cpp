@@ -11,11 +11,9 @@
 //     identical on this PCIe platform.
 
 // Optional arguments (absent: the four-configuration table below, byte-
-// identical across runs):
-//   --placement=POLICY  policy-comparison mode: run the sweep with the
-//                       named placement policy planning every buffer
-//                       (hugepage library on, lazy deregistration off —
-//                       the registration-sensitive configuration)
+// identical across runs). Either one runs the registration-sensitive
+// configuration alone (hugepage library on, lazy deregistration off) and
+// records per-size metric deltas:
 //   --short             fewer sizes/iterations (the ctest mode)
 //   --json=PATH         also write the measured points as JSON
 
@@ -45,23 +43,22 @@ std::vector<workloads::ImbPoint> run_config(bool hugepages, bool lazy) {
   return workloads::run_sendrecv(cluster, icfg);
 }
 
-struct PolicyRun {
+struct PhasedRun {
   std::vector<workloads::ImbPoint> pts;
   std::vector<bench::PhaseDelta> phases;  // one per message size
   telemetry::MetricsSnapshot metrics;     // final registry snapshot
 };
 
-PolicyRun run_policy(const std::string& policy, bool short_mode) {
+PhasedRun run_phased(bool short_mode) {
   core::ClusterConfig cfg;
   cfg.platform = platform::opteron_pcie_infinihost();
   cfg.nodes = 2;
   cfg.ranks_per_node = 1;
   // The registration-sensitive configuration: every rendezvous buffer
-  // pays registration unless the policy places it well.
+  // pays registration, which hugepages make cheap.
   cfg.hugepage_library = true;
   cfg.lazy_deregistration = false;
   cfg.hugepages_per_node = 512;
-  cfg.placement_policy = policy;
   core::Cluster cluster(cfg);
   workloads::ImbConfig icfg;
   icfg.sizes = short_mode
@@ -69,7 +66,7 @@ PolicyRun run_policy(const std::string& policy, bool short_mode) {
                    : workloads::imb_default_sizes();
   icfg.iterations = short_mode ? 3 : 10;
 
-  PolicyRun run;
+  PhasedRun run;
   // Per-size metric deltas, mpiP-style: the hook runs on rank 0 at each
   // size boundary, where a registry snapshot is race-free.
   bench::TelemetryScope scope(cluster.metrics());
@@ -82,11 +79,9 @@ PolicyRun run_policy(const std::string& policy, bool short_mode) {
   return run;
 }
 
-void write_json(const std::string& path, const std::string& placement,
-                const PolicyRun& run) {
+void write_json(const std::string& path, const PhasedRun& run) {
   std::ofstream out(path);
-  out << "{\n  \"bench\": \"fig5_imb_sendrecv\",\n  \"placement\": \""
-      << placement << "\",\n  \"points\": [\n";
+  out << "{\n  \"bench\": \"fig5_imb_sendrecv\",\n  \"points\": [\n";
   const auto& pts = run.pts;
   for (std::size_t i = 0; i < pts.size(); ++i) {
     out << "    {\"bytes\": " << pts[i].bytes << ", \"mbytes_per_sec\": "
@@ -107,40 +102,30 @@ void write_json(const std::string& path, const std::string& placement,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string placement, json_path;
+  std::string json_path;
   bool short_mode = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--placement=", 12) == 0) {
-      placement = argv[i] + 12;
-    } else if (std::strcmp(argv[i], "--short") == 0) {
+    if (std::strcmp(argv[i], "--short") == 0) {
       short_mode = true;
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
       json_path = argv[i] + 7;
     } else {
       std::fprintf(stderr,
-                   "usage: fig5_imb_sendrecv [--placement=POLICY] [--short] "
-                   "[--json=PATH]\n");
+                   "usage: fig5_imb_sendrecv [--short] [--json=PATH]\n");
       return 2;
     }
   }
 
-  if (!placement.empty() || short_mode || !json_path.empty()) {
-    if (placement.empty()) placement = "paper-default";
-    if (placement::make_policy(placement) == nullptr) {
-      std::fprintf(stderr, "unknown placement policy '%s' (known: %s)\n",
-                   placement.c_str(),
-                   placement::known_policy_names().c_str());
-      return 2;
-    }
-    std::printf("FIG5 (policy mode): IMB SendRecv [MB/s], placement=%s, "
-                "hugepage library on, lazy dereg off%s\n\n",
-                placement.c_str(), short_mode ? ", short" : "");
-    const PolicyRun run = run_policy(placement, short_mode);
+  if (short_mode || !json_path.empty()) {
+    std::printf("FIG5: IMB SendRecv [MB/s], hugepage library on, lazy "
+                "dereg off%s\n\n",
+                short_mode ? ", short" : "");
+    const PhasedRun run = run_phased(short_mode);
     TextTable t({"msg size", "MB/s"});
     for (const auto& pt : run.pts)
       t.add_row(bench::human_bytes(pt.bytes), pt.mbytes_per_sec);
     t.print();
-    if (!json_path.empty()) write_json(json_path, placement, run);
+    if (!json_path.empty()) write_json(json_path, run);
     return 0;
   }
 

@@ -19,9 +19,6 @@ int main() {
   core::ClusterConfig cfg;
   cfg.nodes = 2;
   cfg.ranks_per_node = 1;
-  // Route the RPC slot rings through the paper's strategy while the
-  // rest of the heap stays on the cluster-wide default.
-  cfg.placement_role_policies = {{"rpc-ring", "paper-default"}};
   core::Cluster cluster(cfg);
 
   cluster.run([&](core::RankEnv& env) {

@@ -42,9 +42,6 @@ RankEnv::RankEnv(Cluster& cluster, sim::Context& sc, RankState& st)
       vctx_(sc, st.space, st.node->adapter, cluster.config().driver,
             &st.send_cq, &st.recv_cq),
       rcache_(vctx_, cluster.config().lazy_deregistration) {
-  if (sim::Tracer* t = cluster.tracer()) {
-    st.placement->set_tracer(t, st.id, [this] { return sc_->now(); });
-  }
   // Pin-down cache counters: per-run probes (this env dies with the rank
   // program; the handles latch the final values into the registry).
   telemetry::MetricsRegistry& m = cluster.metrics();
@@ -71,6 +68,11 @@ void RankEnv::compute(std::uint64_t ops) {
 Cluster::Cluster(ClusterConfig cfg)
     : cfg_(cfg), engine_(cfg.nodes * cfg.ranks_per_node) {
   IBP_CHECK(cfg_.nodes >= 1 && cfg_.ranks_per_node >= 1);
+  IBP_CHECK(cfg_.placement_policy == "paper-default",
+            "unknown placement policy '"
+                << cfg_.placement_policy
+                << "': the only policy is paper-default; for the "
+                   "small-page baseline set hugepage_library = false");
   const int nranks = cfg_.nodes * cfg_.ranks_per_node;
 
   Rng seeder(cfg_.seed);
@@ -190,7 +192,7 @@ void Cluster::register_probes() {
     probe("hca.qp_errors", [s] { return double(s().qp_errors); });
   }
 
-  // Per-rank CPU, allocator and placement counters, summed across ranks.
+  // Per-rank CPU and allocator counters, summed across ranks.
   for (const auto& rkp : ranks_) {
     const RankState* rs = rkp.get();
     probe("cpu.dtlb_hits", [rs] { return double(rs->tlb.stats().hits()); });
@@ -218,13 +220,6 @@ void Cluster::register_probes() {
           [lib] { return double(lib->huge_heap().stats().bytes_mapped); });
     probe("hugepage.heap_bytes_live_peak",
           [lib] { return double(lib->huge_heap().stats().bytes_live_peak); });
-
-    probe("placement.plan_decisions",
-          [rs] { return double(rs->placement->stats().plans); });
-    probe("placement.huge_backed",
-          [rs] { return double(rs->placement->stats().huge_backed); });
-    probe("placement.small_backed",
-          [rs] { return double(rs->placement->stats().small_backed); });
   }
 
   if (fault_ != nullptr) {

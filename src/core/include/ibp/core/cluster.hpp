@@ -16,7 +16,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "ibp/common/rng.hpp"
@@ -28,7 +27,6 @@
 #include "ibp/hca/adapter.hpp"
 #include "ibp/hugepage/library.hpp"
 #include "ibp/mem/address_space.hpp"
-#include "ibp/placement/placement.hpp"
 #include "ibp/platform/platform.hpp"
 #include "ibp/regcache/regcache.hpp"
 #include "ibp/sim/engine.hpp"
@@ -52,15 +50,10 @@ struct ClusterConfig {
   /// MPI-level lazy deregistration (pin-down cache). false = register
   /// and deregister around every transfer: Fig. 5's other configuration.
   bool lazy_deregistration = true;
-  /// Placement policy (ibp::placement registry name) every rank plans
-  /// buffer placement with. "paper-default" reproduces the paper's
-  /// published strategy bit-exactly; see `ibplace --list-policies`.
+  /// Kept for callers that still name the paper's strategy. The only
+  /// accepted value is "paper-default", which hugepage::Library::malloc
+  /// implements; the small-page baseline is `hugepage_library = false`.
   std::string placement_policy = "paper-default";
-  /// Per-role policy overrides: (role name, policy name) pairs installed
-  /// on every rank's engine, e.g. {"rpc-ring", "small-page-baseline"}
-  /// while `placement_policy` is "paper-default". Roles not listed use
-  /// `placement_policy`. Role names: see placement::role_name.
-  std::vector<std::pair<std::string, std::string>> placement_role_policies;
   /// The paper's OpenIB driver patch: ship native hugepage translations.
   verbs::DriverConfig driver{.hugepage_passthrough = true, .qp = {}};
   hugepage::LibraryConfig library;  // threshold / fit policy / costs
@@ -116,39 +109,12 @@ struct RankState {
         space(&n.phys, &n.hugetlbfs),
         tlb(cfg.platform.tlb),
         memsys(cfg.platform.mem, &tlb),
-        placement([&] {
-          auto policy = placement::make_policy(cfg.placement_policy);
-          IBP_CHECK(policy != nullptr,
-                    "unknown placement policy '" << cfg.placement_policy
-                    << "' (known: " << placement::known_policy_names()
-                    << ")");
-          placement::PolicyContext ctx;
-          ctx.huge_threshold = cfg.library.threshold;
-          ctx.chunk = cfg.library.huge.chunk;
-          ctx.hugepages_enabled = cfg.hugepage_library;
-          auto engine = std::make_unique<placement::PlacementEngine>(
-              std::move(policy), ctx);
-          for (const auto& [role_name, policy_name] :
-               cfg.placement_role_policies) {
-            const auto role = placement::role_from_name(role_name);
-            IBP_CHECK(role.has_value(),
-                      "unknown placement role '" << role_name << "'");
-            auto override_policy = placement::make_policy(policy_name);
-            IBP_CHECK(override_policy != nullptr,
-                      "unknown placement policy '" << policy_name
-                      << "' for role '" << role_name << "' (known: "
-                      << placement::known_policy_names() << ")");
-            engine->set_role_policy(*role, std::move(override_policy));
-          }
-          return engine;
-        }()),
         lib(space, n.hugetlbfs,
             [&] {
               hugepage::LibraryConfig lc = cfg.library;
               lc.enabled = cfg.hugepage_library;
               return lc;
-            }(),
-            placement.get()),
+            }()),
         rng(cfg.seed * 0x9e3779b9ull + static_cast<std::uint64_t>(id) + 1) {}
 
   RankId id;
@@ -156,9 +122,6 @@ struct RankState {
   mem::AddressSpace space;
   cpu::Tlb tlb;
   cpu::MemorySystem memsys;
-  // The rank's placement engine; constructed before `lib`, which plans
-  // its chunking through it.
-  std::unique_ptr<placement::PlacementEngine> placement;
   hugepage::Library lib;
   Rng rng;
   hca::CompletionQueue send_cq;
@@ -184,7 +147,6 @@ class RankEnv {
   Cluster& cluster() { return *cluster_; }
   verbs::Context& verbs() { return vctx_; }
   regcache::RegCache& rcache() { return rcache_; }
-  placement::PlacementEngine& placement() { return *st_->placement; }
   mem::AddressSpace& space() { return st_->space; }
   hugepage::Library& lib() { return st_->lib; }
   cpu::MemorySystem& memsys() { return st_->memsys; }
@@ -193,10 +155,9 @@ class RankEnv {
   TimePs now() const { return sc_->now(); }
 
   /// Allocate through the (possibly preloaded) hugepage library, charging
-  /// allocator time. `role` tells the placement policy what it is for.
-  VirtAddr alloc(std::uint64_t size,
-                 placement::Role role = placement::Role::WorkloadHeap) {
-    auto r = st_->lib.malloc(size, role);
+  /// allocator time.
+  VirtAddr alloc(std::uint64_t size) {
+    auto r = st_->lib.malloc(size);
     sc_->advance(r.cost);
     IBP_CHECK(r.addr != 0, "allocation failed");
     return r.addr;

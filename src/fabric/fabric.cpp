@@ -255,8 +255,7 @@ std::uint64_t FabricClient::submit(std::span<const std::uint8_t> payload,
 
 std::uint32_t FabricClient::segment_bytes() const {
   std::uint64_t seg = cfg_.segment_bytes;
-  // The placement chunk: every policy plans the context's carve
-  // granularity, which is the chunk the hugepage library carves with.
+  // The chunk the hugepage library carves with.
   if (seg == 0) seg = comm_->env().lib().chunk();
   seg = std::clamp<std::uint64_t>(seg, 256, cfg_.rpc.max_payload);
   return static_cast<std::uint32_t>(seg);
@@ -326,7 +325,7 @@ std::uint64_t FabricClient::submit_striped(std::uint32_t response_cap,
   st.remaining = nseg;
   st.tenant = tenant;
   st.cls = cls;
-  st.buf = env.alloc(response_cap, placement::Role::StripeSegment);
+  st.buf = env.alloc(response_cap);
   st.t0 = env.now();
   if (failover_armed()) st.attempts.assign(nseg, 1);
   if (hub_ != nullptr && hub_->active())
@@ -875,7 +874,7 @@ void FabricServer::ensure_shard() {
   if (shard_ != 0) return;
   IBP_CHECK(cfg_.shard_bytes >= cfg_.rpc.max_payload,
             "shard arena smaller than one segment");
-  shard_ = comm_->env().alloc(cfg_.shard_bytes, placement::Role::RpcShard);
+  shard_ = comm_->env().alloc(cfg_.shard_bytes);
 }
 
 std::uint32_t FabricServer::serve_stripe(const rpc::RequestView& rq,

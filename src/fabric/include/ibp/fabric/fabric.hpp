@@ -4,7 +4,7 @@
 //
 // One server rank is a toy against a fleet-scale workload; this layer
 // turns the single-server RPC path into a sharded fleet while every
-// buffer it allocates is still placed by the placement engine:
+// buffer it allocates still goes through hugepage::Library:
 //
 //   * ShardMap — deterministic tenant -> server routing with pluggable
 //     strategies (hash / range / affinity) and an explicit epoch, so a
@@ -13,15 +13,15 @@
 //     route to the tenant's home shard; bulk responses above the stripe
 //     threshold are split into stripe-segment chunks fanned out over
 //     several links (the multi-rail idea: many QPs move one payload) and
-//     reassembled through a placement-planned Role::StripeSegment buffer
-//     inside a bounded client-side reassembly window,
+//     reassembled through one stripe buffer per stripe inside a bounded
+//     client-side reassembly window,
 //   * FabricServer — an RpcServer whose handler serves stripe segments
-//     out of a lazily-allocated Role::RpcShard arena, exporting queue
-//     depth and stripe counters as fabric.* telemetry probes.
+//     out of a lazily-allocated shard arena, exporting queue depth and
+//     stripe counters as fabric.* telemetry probes.
 //
-// Segment sizing is the placement chunk (the 4 KB carve granularity every
-// policy plans and hugepage::Library carves with), clamped to the RPC slot
-// payload so segments always ride the batched eager path; link choice is
+// Segment sizing is the hugepage heap's chunk (the 4 KB carve granularity
+// hugepage::Library carves with), clamped to the RPC slot payload so
+// segments always ride the batched eager path; link choice is
 // congestion-aware (least outstanding among the stripe's fan-out set,
 // deterministic tie-break by rotation from the shard home).
 //
@@ -144,13 +144,13 @@ struct FabricConfig {
   std::uint64_t stripe_threshold = 8 * kKiB;
   /// Max links one response fans out over (clamped to the server count).
   std::uint32_t stripe_width = 4;
-  /// Segment payload size; 0 = the placement chunk (hugepage::Library's
-  /// carve granularity), clamped to rpc.max_payload.
+  /// Segment payload size; 0 = hugepage::Library's carve granularity,
+  /// clamped to rpc.max_payload.
   std::uint32_t segment_bytes = 0;
   /// Max stripes being reassembled concurrently; submit blocks on more.
   std::uint32_t reassembly_window = 8;
-  /// Server-side shard arena (Role::RpcShard), allocated lazily on the
-  /// first striped request so stripe-free runs stay allocation-free.
+  /// Server-side shard arena, allocated lazily on the first striped
+  /// request so stripe-free runs stay allocation-free.
   std::uint64_t shard_bytes = 4 * kMiB;
   /// Application cost per served stripe byte on the shard rank (storage
   /// read, checksum, ...), ps/B. This is the work striping spreads over
@@ -306,8 +306,8 @@ class FabricClient {
     std::uint16_t remaining = 0;
     std::uint32_t tenant = 0;
     rpc::Class cls = rpc::Class::Latency;
-    /// The Role::StripeSegment buffer the model places, streams and frees
-    /// (the reassembly cost); its host bytes are never written.
+    /// The stripe buffer the model allocates, streams and frees (the
+    /// reassembly cost); its host bytes are never written.
     VirtAddr buf = 0;
     /// The response bytes: each segment is copied in once, and the whole
     /// becomes the completion's payload.
@@ -402,7 +402,7 @@ class FabricClient {
 // FabricServer
 
 /// One shard of the fleet: an RpcServer whose handler answers stripe
-/// sub-requests from a resident Role::RpcShard arena and delegates
+/// sub-requests from a resident shard arena and delegates
 /// everything else to the application handler (default: echo). Congestion
 /// signals (queue depth, stripe counters, shard traffic) export as
 /// fabric.* probes.
@@ -429,7 +429,7 @@ class FabricServer {
   FabricConfig cfg_;
   rpc::Handler app_;
   std::unique_ptr<rpc::RpcServer> server_;
-  VirtAddr shard_ = 0;  // lazy Role::RpcShard arena
+  VirtAddr shard_ = 0;  // lazy shard arena
   std::uint64_t striped_segments_ = 0;
   std::uint64_t shard_bytes_read_ = 0;
   std::vector<telemetry::ProbeHandle> probes_;

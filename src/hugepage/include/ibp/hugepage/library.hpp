@@ -14,19 +14,15 @@
 // (8 entries on Opteron) outweighs the benefit. `enabled=false` models a
 // run without the preloaded library (everything goes to libc), which is
 // the paper's baseline configuration.
-
-// Placement decisions (backing tier, chunk granularity) are
-// delegated to ibp::placement: every allocation asks a policy for a
-// BufferPlan and routes accordingly. Without an injected engine the
-// library plans with a private PaperDefaultPolicy, which reproduces the
-// Figure 2 routing above bit-exactly.
+//
+// This is the one place that decides which tier a buffer's bytes live on:
+// every layer above allocates through Library::malloc.
 
 #include <cstdint>
 
 #include "ibp/common/types.hpp"
 #include "ibp/hugepage/heap.hpp"
 #include "ibp/hugepage/libc_heap.hpp"
-#include "ibp/placement/placement.hpp"
 
 namespace ibp::hugepage {
 
@@ -45,30 +41,14 @@ struct LibraryStats {
 
 class Library {
  public:
-  /// `engine` (optional) supplies placement plans; the library falls back
-  /// to a private PaperDefaultPolicy when none is injected. The hugepage
-  /// heap's chunk granularity is taken from the plan at construction.
   Library(mem::AddressSpace& space, mem::HugeTlbFs& fs,
-          LibraryConfig cfg = {},
-          placement::PlacementEngine* engine = nullptr)
-      : cfg_(cfg),
-        engine_(engine),
-        chunk_(plan_for(cfg.threshold, placement::Role::WorkloadHeap).chunk),
-        huge_(space, fs,
-              [&cfg, this] {
-                HugeHeapConfig h = cfg.huge;
-                h.chunk = chunk_;
-                return h;
-              }()),
-        libc_(space, cfg.libc) {}
+          LibraryConfig cfg = {})
+      : cfg_(cfg), huge_(space, fs, cfg.huge), libc_(space, cfg.libc) {}
 
   /// malloc(): returns the block address and the virtual-time cost of the
-  /// allocator work (the caller advances its clock by it). `role` lets
-  /// communication layers tell the policy what the buffer is for.
-  OpResult malloc(std::uint64_t size,
-                  placement::Role role = placement::Role::WorkloadHeap) {
-    const placement::BufferPlan plan = plan_for(size, role);
-    if (plan.backing == mem::PageKind::Small) {
+  /// allocator work (the caller advances its clock by it).
+  OpResult malloc(std::uint64_t size) {
+    if (!huge_tier(size)) {
       ++stats_.libc_allocs;
       return libc_.allocate(size);
     }
@@ -89,14 +69,13 @@ class Library {
   /// offset; aligned starts hit the DMA fast path). Requests at or above
   /// the hugepage threshold are chunk-aligned (4 KB) by construction.
   OpResult memalign(std::uint64_t alignment, std::uint64_t size) {
-    if (plan_for(size, placement::Role::WorkloadHeap).backing ==
-        mem::PageKind::Small) {
+    if (!huge_tier(size)) {
       ++stats_.libc_allocs;
       return libc_.allocate_aligned(size, alignment);
     }
     // Hugepage blocks are chunk aligned, satisfying any smaller
     // alignment; larger requests fall back to the small-page path.
-    if (alignment <= chunk_) return malloc(size);
+    if (alignment <= chunk()) return malloc(size);
     ++stats_.libc_allocs;
     return libc_.allocate_aligned(size, alignment);
   }
@@ -129,8 +108,7 @@ class Library {
     if (addr == 0) return malloc(new_size);
     const std::uint64_t old_size = block_size(addr);
     // In-place when the rounded footprint wouldn't change.
-    const std::uint64_t chunk = chunk_;
-    if (in_hugepages(addr) && new_size <= align_up(old_size, chunk) &&
+    if (in_hugepages(addr) && new_size <= align_up(old_size, chunk()) &&
         new_size >= old_size / 2) {
       return {addr, cfg_.huge.costs.op_base};
     }
@@ -154,23 +132,11 @@ class Library {
   bool in_hugepages(VirtAddr addr) const { return huge_.owns(addr); }
 
   const LibraryStats& stats() const { return stats_; }
-  /// The carve granularity, as planned at construction.
-  std::uint64_t chunk() const { return chunk_; }
+  /// The hugepage heap's carve granularity.
+  std::uint64_t chunk() const { return cfg_.huge.chunk; }
   HugeHeap& huge_heap() { return huge_; }
   LibcHeap& libc_heap() { return libc_; }
   const LibraryConfig& config() const { return cfg_; }
-
-  /// Ask the active policy where `size` bytes in `role` should go. The
-  /// context carries this library's tunables so per-instance overrides
-  /// (tests construct libraries with custom thresholds) keep working.
-  placement::BufferPlan plan_for(std::uint64_t size, placement::Role role) {
-    const placement::BufferRequest req{.size = size, .role = role};
-    const placement::PolicyContext ctx{.huge_threshold = cfg_.threshold,
-                                       .chunk = cfg_.huge.chunk,
-                                       .hugepages_enabled = cfg_.enabled};
-    if (engine_) return engine_->plan(req, ctx);
-    return placement::PaperDefaultPolicy{}.plan(req, ctx);
-  }
 
   void check_invariants() const {
     huge_.check_invariants();
@@ -178,9 +144,13 @@ class Library {
   }
 
  private:
+  /// Figure 2's routing test: the hugepage heap serves a request iff the
+  /// library is preloaded and the request reaches the threshold.
+  bool huge_tier(std::uint64_t size) const {
+    return cfg_.enabled && size >= cfg_.threshold;
+  }
+
   LibraryConfig cfg_;
-  placement::PlacementEngine* engine_;
-  std::uint64_t chunk_;  // effective carve granularity, from the plan
   LibraryStats stats_;
   HugeHeap huge_;
   LibcHeap libc_;

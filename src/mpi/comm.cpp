@@ -37,11 +37,9 @@ Comm::Comm(core::RankEnv& env, CommConfig cfg) : env_(&env), cfg_(cfg) {
   }
 
   if (!ib_peers_.empty()) {
-    send_region_ = env_->alloc(cfg_.send_slots * cfg_.slot_bytes,
-                               placement::Role::RecvRing);
+    send_region_ = env_->alloc(cfg_.send_slots * cfg_.slot_bytes);
     recv_region_ =
-        env_->alloc(ib_peers_.size() * cfg_.recv_slots * cfg_.slot_bytes,
-                    placement::Role::RecvRing);
+        env_->alloc(ib_peers_.size() * cfg_.recv_slots * cfg_.slot_bytes);
     send_mr_ =
         env_->verbs().reg_mr(send_region_, cfg_.send_slots * cfg_.slot_bytes);
     recv_mr_ = env_->verbs().reg_mr(

@@ -8,8 +8,9 @@
 // the hot path — and returns flow-control credit by RDMA-writing its
 // consumed-up-to counter into a sender-owned control word. This is the
 // MPICH2-over-InfiniBand RDMA eager design (PAPERS.md) grown on top of
-// the paper's placement machinery: slabs are planned as Role::RingSlab
-// (hugepage residency, alignment) and control words as Role::RingSlot.
+// the paper's hugepage library: slabs and control words are allocated
+// through hugepage::Library, so a slab at or above 32 KB is
+// hugepage-resident when the library is preloaded.
 //
 // Wire format — every frame is 8-byte aligned inside the slab:
 //
@@ -99,7 +100,7 @@ struct ChannelHello {
   CreditDescriptor credit;  // my send credit word — return credit here
 };
 
-/// Receiver half: owns the placement-planned ring slab and its write
+/// Receiver half: owns the ring slab and its write
 /// monitor, parses frames in arrival order, and produces credit-return
 /// work requests against the peer sender's control word.
 class RingReceiver {

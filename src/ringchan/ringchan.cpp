@@ -35,10 +35,10 @@ std::uint32_t load_u32(const std::uint8_t* p) {
 RingReceiver::RingReceiver(core::RankEnv& env, const RingConfig& cfg)
     : env_(&env), cfg_(cfg) {
   check_config(cfg_);
-  slab_ = env.alloc(cfg_.slab_bytes, placement::Role::RingSlab);
+  slab_ = env.alloc(cfg_.slab_bytes);
   mr_ = env.verbs().reg_mr(slab_, cfg_.slab_bytes);
   env.verbs().set_write_monitor(mr_, &mon_);
-  credit_src_ = env.alloc(8, placement::Role::RingSlot);
+  credit_src_ = env.alloc(8);
   credit_src_mr_ = env.verbs().reg_mr(credit_src_, 8);
   *env.host_ptr<std::uint64_t>(credit_src_) = 0;
 }
@@ -113,9 +113,9 @@ hca::SendWr RingReceiver::make_credit_wr() {
 RingSender::RingSender(core::RankEnv& env, const RingConfig& cfg)
     : env_(&env), cfg_(cfg) {
   check_config(cfg_);
-  staging_ = env.alloc(cfg_.slab_bytes, placement::Role::RingSlab);
+  staging_ = env.alloc(cfg_.slab_bytes);
   staging_mr_ = env.verbs().reg_mr(staging_, cfg_.slab_bytes);
-  word_ = env.alloc(8, placement::Role::RingSlot);
+  word_ = env.alloc(8);
   word_mr_ = env.verbs().reg_mr(word_, 8);
   env.verbs().set_write_monitor(word_mr_, &mon_);
   *env.host_ptr<std::uint64_t>(word_) = 0;

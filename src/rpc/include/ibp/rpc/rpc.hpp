@@ -8,10 +8,9 @@
 //     over the eager path; queued small requests coalesce into one
 //     gather work request of at most mpi::Comm::kMaxSges SGEs — the §7
 //     scatter/gather feature applied to RPC batching,
-//   * request and response slot rings are placed via the engine under
-//     the dedicated roles Role::RpcRing / Role::RpcResponse, so per-role
-//     policy overrides (ClusterConfig::placement_role_policies) steer
-//     serving buffers independently of the workload heap,
+//   * request and response slot rings and out-of-band response bodies
+//     are allocated through hugepage::Library, so they land on the
+//     hugepage tier exactly when the paper's 32 KB threshold says so,
 //   * flow control is credit-based (a client bounds its un-responded
 //     requests), admission control sheds load at the server with an
 //     explicit Overloaded status instead of queueing without bound, and
@@ -170,7 +169,7 @@ struct RpcConfig {
   /// dispatcher track (ShareMode::Dispatcher only): queue write + wakeup.
   TimePs dispatcher_handoff = ns(400);
   /// One-sided response fast path (EXT-RDMA): the client owns a
-  /// placement-planned ring slab (Role::RingSlab) the server RDMA-writes
+  /// ring slab (allocated through hugepage::Library) the server RDMA-writes
   /// response records into; the client discovers them by polling ring
   /// memory — no response batching, no posted receive on the hot path —
   /// and returns credit by RDMA-writing its consumed-up-to counter.
@@ -463,7 +462,7 @@ class RpcClient {
   telemetry::RequestTracer* hub_ = nullptr;
   std::uint64_t slot_bytes_ = 0;
   std::uint32_t nslots_ = 0;
-  VirtAddr ring_ = 0;    // request slot ring (Role::RpcRing)
+  VirtAddr ring_ = 0;    // request slot ring
   VirtAddr rspbuf_ = 0;  // response-batch landing buffer
   std::uint64_t rsp_cap_ = 0;
   std::vector<std::uint32_t> free_slots_;
@@ -623,7 +622,7 @@ class RpcServer {
   std::uint64_t slot_bytes_ = 0;
   std::uint64_t recv_cap_ = 0;
   std::uint32_t n_rsp_slots_ = 0;
-  VirtAddr recv_region_ = 0;  // one landing slot per client (Role::RpcRing)
+  VirtAddr recv_region_ = 0;  // one landing slot per client
   std::vector<RspLane> lanes_;      // [0] = shared response ring
   std::vector<mpi::Req> rreqs_;     // per client; null once closed
   std::vector<bool> open_;

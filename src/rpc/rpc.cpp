@@ -120,10 +120,9 @@ RpcClient::RpcClient(mpi::Comm& comm, int server, RpcConfig cfg)
             "degenerate rpc config");
   nslots_ = cfg_.client_queue_cap + cfg_.credits + 4;
   core::RankEnv& env = comm_->env();
-  ring_ = env.alloc(static_cast<std::uint64_t>(nslots_) * slot_bytes_,
-                    placement::Role::RpcRing);
+  ring_ = env.alloc(static_cast<std::uint64_t>(nslots_) * slot_bytes_);
   rsp_cap_ = std::max<std::uint64_t>(cfg_.max_batch_bytes, slot_bytes_);
-  rspbuf_ = env.alloc(rsp_cap_, placement::Role::RpcRing);
+  rspbuf_ = env.alloc(rsp_cap_);
   free_slots_.reserve(nslots_);
   for (std::uint32_t s = nslots_; s > 0; --s) free_slots_.push_back(s - 1);
   register_metrics();
@@ -544,8 +543,7 @@ void RpcClient::parse_one(VirtAddr rec) {
     ++stats_.duplicates;
     if ((h.flags & kFlagLarge) != 0) {
       const std::uint64_t blen = h.response_cap;
-      const VirtAddr buf = env.alloc(std::max<std::uint64_t>(blen, 64),
-                                     placement::Role::RpcResponse);
+      const VirtAddr buf = env.alloc(std::max<std::uint64_t>(blen, 64));
       comm_->recv(buf, blen, server_, large_tag(h.id));
       env.dealloc(buf);
     }
@@ -561,10 +559,9 @@ void RpcClient::parse_one(VirtAddr rec) {
 
   if ((h.flags & kFlagLarge) != 0) {
     // Body travels out-of-band on its own tag; sized above the slot
-    // cap it takes the rendezvous path on a Role::RpcResponse buffer.
+    // cap it takes the rendezvous path.
     const std::uint64_t blen = h.response_cap;
-    const VirtAddr buf = env.alloc(std::max<std::uint64_t>(blen, 64),
-                                   placement::Role::RpcResponse);
+    const VirtAddr buf = env.alloc(std::max<std::uint64_t>(blen, 64));
     comm_->recv(buf, blen, server_, large_tag(h.id));
     const auto* p = env.host_ptr<std::uint8_t>(buf, blen);
     c.payload.assign(p, p + blen);
@@ -781,8 +778,7 @@ RpcServer::RpcServer(mpi::Comm& comm, std::vector<int> clients, RpcConfig cfg,
             "rpc batches must fit the eager path");
   if (!handler_) handler_ = default_handler();
   core::RankEnv& env = comm_->env();
-  recv_region_ =
-      env.alloc(recv_cap_ * clients_.size(), placement::Role::RpcRing);
+  recv_region_ = env.alloc(recv_cap_ * clients_.size());
   n_rsp_slots_ = cfg_.server_queue_cap + 2 * cfg_.max_batch_requests + 8;
   lanes_.emplace_back();
   make_lane(lanes_[0]);
@@ -804,8 +800,7 @@ RpcServer::~RpcServer() {
 
 void RpcServer::make_lane(RspLane& lane) {
   core::RankEnv& env = comm_->env();
-  lane.ring = env.alloc(static_cast<std::uint64_t>(n_rsp_slots_) * slot_bytes_,
-                        placement::Role::RpcRing);
+  lane.ring = env.alloc(static_cast<std::uint64_t>(n_rsp_slots_) * slot_bytes_);
   lane.free_slots.reserve(n_rsp_slots_);
   for (std::uint32_t s = n_rsp_slots_; s > 0; --s)
     lane.free_slots.push_back(s - 1);
@@ -1038,9 +1033,9 @@ void RpcServer::serve_item(const Item& it, std::vector<std::uint8_t>& scratch,
     }
   } else {
     // Body goes out-of-band: the in-batch record only announces it, the
-    // payload takes the eager/rendezvous split on its own tag from a
-    // Role::RpcResponse buffer (the path the paper prices registration
-    // on when it exceeds the rendezvous threshold).
+    // payload takes the eager/rendezvous split on its own tag from its
+    // own buffer (the path the paper prices registration on when it
+    // exceeds the rendezvous threshold).
     rsp.response_cap = rlen;
     rsp.flags |= kFlagLarge;
     if (via_dispatcher) {
@@ -1054,9 +1049,7 @@ void RpcServer::serve_item(const Item& it, std::vector<std::uint8_t>& scratch,
     } else {
       enqueue_response(lane, it.client, rsp, nullptr);
     }
-    const VirtAddr buf =
-        env.alloc(std::max<std::uint64_t>(rlen, 64),
-                  placement::Role::RpcResponse);
+    const VirtAddr buf = env.alloc(std::max<std::uint64_t>(rlen, 64));
     std::memcpy(env.host_ptr<std::uint8_t>(buf, rlen), scratch.data(), rlen);
     env.touch_stream(buf, rlen);  // the application writes the response
     LargeSend ls;

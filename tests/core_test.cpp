@@ -166,5 +166,25 @@ TEST(Cluster, DeterministicMakespan) {
   EXPECT_EQ(run(), run());
 }
 
+TEST(Cluster, RejectsUnknownPolicyName) {
+  // hugepage::Library is the only placement strategy; the baseline is a
+  // run without the library, not a second policy name.
+  for (const char* name : {"definitely-not-a-policy", "small-page-baseline"}) {
+    ClusterConfig cfg;
+    cfg.nodes = 1;
+    cfg.ranks_per_node = 1;
+    cfg.placement_policy = name;
+    try {
+      Cluster cluster(cfg);
+      ADD_FAILURE() << "accepted placement policy " << name;
+    } catch (const SimError& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos);
+      EXPECT_NE(std::string(e.what()).find("hugepage_library"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ibp::core

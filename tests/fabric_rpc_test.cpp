@@ -123,11 +123,11 @@ TEST(ServingFabric, SmallRequestsPassThroughToHomeShard) {
 TEST(ServingFabric, StripedResponseReassemblesDeterministicPattern) {
   FabricConfig fc;
   with_fabric(4, fc, [&](FabricClient& c, core::RankEnv& env) {
-    const auto stripe_plans = [&env] {
-      return env.placement().stats().by_role[static_cast<int>(
-          placement::Role::StripeSegment)];
+    const auto lib_allocs = [&env] {
+      const hugepage::LibraryStats& s = env.lib().stats();
+      return s.huge_allocs + s.libc_allocs + s.fallback_allocs;
     };
-    const std::uint64_t plans_before = stripe_plans();
+    const std::uint64_t allocs_before = lib_allocs();
     const std::vector<std::uint8_t> msg{9};
     const std::uint32_t kBulk = 32 * kKiB;
     const std::uint64_t id = c.submit(msg, kBulk, rpc::Class::Bulk, 5);
@@ -138,9 +138,9 @@ TEST(ServingFabric, StripedResponseReassemblesDeterministicPattern) {
     EXPECT_EQ(c.stats().stripes, 1u);
     EXPECT_GE(c.stats().segments, kBulk / fc.rpc.max_payload);
     EXPECT_EQ(c.stats().reassembled_bytes, kBulk);
-    // Segment sizing reads the placement chunk: the one stripe-segment
-    // plan is for the buffer the stripe allocates.
-    EXPECT_EQ(stripe_plans() - plans_before, 1u);
+    // Segment sizing reads the library's chunk without allocating: the
+    // one allocation is the buffer the stripe reassembles into.
+    EXPECT_EQ(lib_allocs() - allocs_before, 1u);
   });
 }
 

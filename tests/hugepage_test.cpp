@@ -241,6 +241,50 @@ TEST(Library, ThresholdRouting) {
   lib.free(small.addr);
   lib.free(big.addr);
   lib.check_invariants();
+
+  // Figure 2's routing for every size 1 B..16 MiB (each power of two and
+  // +-1), library on and off, at the paper's tunables and at a 1 MiB
+  // threshold with 8 KiB chunks: hugepages iff preloaded and size >=
+  // threshold, carved in the configured chunk.
+  struct Tunables {
+    std::uint64_t threshold, chunk;
+  };
+  for (const Tunables t : {Tunables{32 * kKiB, 4 * kKiB},
+                           Tunables{1 * kMiB, 8 * kKiB}}) {
+    for (const bool enabled : {false, true}) {
+      World sweep;
+      LibraryConfig cfg;
+      cfg.enabled = enabled;
+      cfg.threshold = t.threshold;
+      cfg.huge.chunk = t.chunk;
+      Library swept(sweep.as, sweep.fs, cfg);
+      EXPECT_EQ(swept.chunk(), t.chunk);
+      std::uint64_t huge = 0, libc = 0;
+      for (int lg = 0; lg <= 24; ++lg) {
+        const std::uint64_t p = std::uint64_t{1} << lg;
+        for (const std::uint64_t size : {p - 1, p, p + 1}) {
+          if (size == 0 || size > 16 * kMiB) continue;
+          const auto r = swept.malloc(size);
+          ASSERT_NE(r.addr, 0u);
+          const bool want_huge = enabled && size >= t.threshold;
+          EXPECT_EQ(swept.in_hugepages(r.addr), want_huge)
+              << "size " << size << " threshold " << t.threshold
+              << " enabled " << enabled;
+          if (want_huge) {
+            EXPECT_EQ(r.addr % t.chunk, 0u) << "size " << size;
+            ++huge;
+          } else {
+            ++libc;
+          }
+          swept.free(r.addr);
+        }
+      }
+      EXPECT_EQ(swept.stats().huge_allocs, huge);
+      EXPECT_EQ(swept.stats().libc_allocs, libc);
+      EXPECT_EQ(swept.stats().fallback_allocs, 0u);
+      swept.check_invariants();
+    }
+  }
 }
 
 TEST(Library, DisabledSendsEverythingToLibc) {

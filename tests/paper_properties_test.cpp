@@ -97,14 +97,23 @@ TEST(PaperP6, Fig5Ordering) {
     cfg.lazy_deregistration = lazy;
     core::Cluster cluster(cfg);
     workloads::ImbConfig icfg;
-    icfg.sizes = {4 * kMiB};
+    icfg.sizes = {64 * kKiB, 1 * kMiB, 4 * kMiB};
     icfg.iterations = 5;
-    return workloads::run_sendrecv(cluster, icfg)[0].mbytes_per_sec;
+    return workloads::run_sendrecv(cluster, icfg);
   };
-  const double small_noreg = run(false, false);
-  const double huge_noreg = run(true, false);
-  const double small_lazy = run(false, true);
-  const double huge_lazy = run(true, true);
+  const auto small_noreg_pts = run(false, false);
+  const auto huge_noreg_pts = run(true, false);
+  // Without lazy dereg, hugepages win at every rendezvous size.
+  for (std::size_t i = 0; i < small_noreg_pts.size(); ++i)
+    EXPECT_GT(huge_noreg_pts[i].mbytes_per_sec,
+              small_noreg_pts[i].mbytes_per_sec)
+        << "size " << small_noreg_pts[i].bytes;
+
+  // The 4 MB point.
+  const double small_noreg = small_noreg_pts.back().mbytes_per_sec;
+  const double huge_noreg = huge_noreg_pts.back().mbytes_per_sec;
+  const double small_lazy = run(false, true).back().mbytes_per_sec;
+  const double huge_lazy = run(true, true).back().mbytes_per_sec;
 
   // Without lazy dereg, hugepages dominate clearly.
   EXPECT_GT(huge_noreg, small_noreg * 1.3);

@@ -174,21 +174,40 @@ TEST(RegCache, InFlightCountsUnreleasedAcquires) {
 }
 
 TEST(RegCache, RendezvousTransfersReleaseEveryAcquire) {
-  core::ClusterConfig cfg;
-  cfg.nodes = 2;
-  cfg.ranks_per_node = 1;
-  core::Cluster cluster(cfg);
-  cluster.run([](core::RankEnv& env) {
-    mpi::Comm comm(env);
-    constexpr std::uint64_t kLen = 1 * kMiB;
-    const VirtAddr sbuf = env.alloc(kLen);
-    const VirtAddr rbuf = env.alloc(kLen);
-    const int other = 1 - env.rank();
-    for (int i = 0; i < 3; ++i)
-      comm.sendrecv(sbuf, kLen, other, i, rbuf, kLen, other, i);
-    EXPECT_GT(env.rcache().stats().hits, 0u);
-    EXPECT_EQ(env.rcache().in_flight(), 0u);
-  });
+  // Both registration modes on both page tiers. With lazy deregistration
+  // off, both ends of every rendezvous unpin their buffers once the
+  // transfer completes.
+  for (const bool lazy : {true, false}) {
+    for (const bool huge : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "lazy=" << lazy << " huge=" << huge);
+      core::ClusterConfig cfg;
+      cfg.nodes = 2;
+      cfg.ranks_per_node = 1;
+      cfg.lazy_deregistration = lazy;
+      cfg.hugepage_library = huge;
+      core::Cluster cluster(cfg);
+      cluster.run([&](core::RankEnv& env) {
+        mpi::Comm comm(env);
+        const std::uint64_t pinned = env.space().pinned_pages();
+        constexpr std::uint64_t kLen = 1 * kMiB;
+        const VirtAddr sbuf = env.alloc(kLen);
+        const VirtAddr rbuf = env.alloc(kLen);
+        EXPECT_EQ(env.lib().in_hugepages(sbuf), huge);
+        const int other = 1 - env.rank();
+        for (int i = 0; i < 3; ++i)
+          comm.sendrecv(sbuf, kLen, other, i, rbuf, kLen, other, i);
+        EXPECT_EQ(env.rcache().in_flight(), 0u);
+        if (lazy) {
+          EXPECT_GT(env.rcache().stats().hits, 0u);
+        } else {
+          EXPECT_GT(env.rcache().stats().misses, 0u);
+          EXPECT_EQ(env.rcache().entries(), 0u);
+          EXPECT_EQ(env.space().pinned_pages(), pinned)
+              << "a registration outlived its transfer";
+        }
+      });
+    }
+  }
 }
 
 }  // namespace

@@ -152,7 +152,7 @@ void sendrecv_workload(core::RankEnv& env, int iters,
   comm.barrier();
 }
 
-TEST(Telemetry, SixSubsystemsLiveAfterSendrecv) {
+TEST(Telemetry, FiveSubsystemsLiveAfterSendrecv) {
   core::Cluster cluster(telemetry_cluster(2, 1));
   cluster.run([](core::RankEnv& env) {
     sendrecv_workload(env, 4, 256 * kKiB);
@@ -163,13 +163,11 @@ TEST(Telemetry, SixSubsystemsLiveAfterSendrecv) {
     const std::string_view n = snap.name(i);
     live[std::string(n.substr(0, n.find('.')))] += snap.value(i);
   }
-  for (const char* sub :
-       {"mpi", "hca", "regcache", "hugepage", "placement", "cpu"})
+  for (const char* sub : {"mpi", "hca", "regcache", "hugepage", "cpu"})
     EXPECT_GT(live[sub], 0.0) << "no live metrics under " << sub << ".";
   // A few paper-central metrics must be individually live.
   EXPECT_GT(snap.value_of("mpi.rendezvous_bytes"), 0.0);
   EXPECT_GT(snap.value_of("hca.bytes_tx"), 0.0);
-  EXPECT_GT(snap.value_of("placement.plan_decisions"), 0.0);
 }
 
 TEST(Telemetry, CounterTracksSampleDeterministically) {

@@ -16,11 +16,8 @@
 //   --patched=0|1                     driver hugepage passthrough (default 1)
 //   --rndv-read=0|1                   RDMA-read rendezvous (default 0;
 //                                     imb/rpc/fabric)
-//   --iters=N  --scale=N
-//   --placement=POLICY                placement policy (--list-policies)
-//   --placement-role=ROLE=POLICY      override the policy for one buffer
-//                                     role (repeatable; e.g.
-//                                     --placement-role=rpc-ring=paper-default)
+//   --iters=N  --scale=N              (integer flags reject anything but
+//                                     a whole decimal number)
 //   --fault=SPEC                      inline fault plan (see fault.hpp)
 //   --fault-file=PATH                 fault plan from a file
 //   --recovery=failfast|repost        MPI policy on error completions
@@ -40,11 +37,10 @@
 //   --stripe=W                        stripe width (links per bulk read)
 //   --shard-map=hash|range|affinity   tenant -> server strategy
 //
-//   ibplace --list-policies           registered placement policies
-//
 // Everything is deterministic; outputs are stable across runs — fault
 // plans included (the injector draws from its own seeded RNG streams).
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -58,7 +54,6 @@
 #include "ibp/fabric/fabric.hpp"
 #include "ibp/fault/fault.hpp"
 #include "ibp/loadgen/loadgen.hpp"
-#include "ibp/placement/placement.hpp"
 #include "ibp/rpc/rpc.hpp"
 #include "ibp/telemetry/reqtrace.hpp"
 #include "ibp/telemetry/sink.hpp"
@@ -79,9 +74,6 @@ struct Options {
   bool rndv_read = false;
   int iters = 10;
   int scale = 1;
-  std::string placement = "paper-default";
-  // Per-role policy overrides, (role name, policy name) pairs.
-  std::vector<std::pair<std::string, std::string>> role_policies;
   std::string fault;       // inline fault-plan spec
   std::string fault_file;  // fault-plan file (appended to `fault`)
   std::string recovery = "failfast";
@@ -116,13 +108,10 @@ struct Options {
                "--shard-map=hash|range|affinity\n"
                "                  --fail-after=K]\n"
                "  ibplace trace-report <trace.jsonl>\n"
-               "  ibplace --list-policies\n"
                "options: --platform=opteron|xeon|systemp --nodes=N --rpn=R\n"
                "         --hugepages=0|1 --lazy=0|1 --patched=0|1\n"
                "         --rndv-read=0|1 (imb/rpc/fabric)\n"
                "         --iters=N --scale=N\n"
-               "         --placement=POLICY (see --list-policies)\n"
-               "         --placement-role=ROLE=POLICY (repeatable)\n"
                "         --fault=SPEC --fault-file=PATH\n"
                "         --recovery=failfast|repost\n"
                "         --rdma-eager=0|1 (rpc/fabric)\n"
@@ -157,6 +146,20 @@ bool parse_bool_flag(const char* arg, const char* name, bool* out) {
   return true;
 }
 
+/// A NAME=<int> flag; a value that is not a whole decimal int (e.g.
+/// "1e6" or "two") is a usage error that names the flag instead of
+/// reading as its numeric prefix or as 0.
+bool parse_int_flag(const char* arg, const char* name, int* out) {
+  std::string v;
+  if (!parse_flag(arg, name, &v)) return false;
+  const char* end = v.data() + v.size();
+  const auto [stop, ec] = std::from_chars(v.data(), end, *out);
+  if (ec != std::errc() || stop != end)
+    usage((std::string(name) + " must be an integer, got '" + v + "'")
+              .c_str());
+  return true;
+}
+
 Options parse_options(int argc, char** argv, int first) {
   Options o;
   for (int i = first; i < argc; ++i) {
@@ -164,34 +167,25 @@ Options parse_options(int argc, char** argv, int first) {
         parse_bool_flag(argv[i], "--lazy", &o.lazy) ||
         parse_bool_flag(argv[i], "--patched", &o.patched) ||
         parse_bool_flag(argv[i], "--rndv-read", &o.rndv_read) ||
-        parse_bool_flag(argv[i], "--rdma-eager", &o.rdma_eager))
+        parse_bool_flag(argv[i], "--rdma-eager", &o.rdma_eager) ||
+        parse_int_flag(argv[i], "--nodes", &o.nodes) ||
+        parse_int_flag(argv[i], "--rpn", &o.rpn) ||
+        parse_int_flag(argv[i], "--iters", &o.iters) ||
+        parse_int_flag(argv[i], "--scale", &o.scale) ||
+        parse_int_flag(argv[i], "--fail-after", &o.fail_after) ||
+        parse_int_flag(argv[i], "--servers", &o.servers) ||
+        parse_int_flag(argv[i], "--stripe", &o.stripe) ||
+        parse_int_flag(argv[i], "--threads", &o.threads))
       continue;
     std::string v;
     if (parse_flag(argv[i], "--platform", &v)) {
       o.platform = v;
-    } else if (parse_flag(argv[i], "--nodes", &v)) {
-      o.nodes = std::atoi(v.c_str());
-    } else if (parse_flag(argv[i], "--rpn", &v)) {
-      o.rpn = std::atoi(v.c_str());
-    } else if (parse_flag(argv[i], "--iters", &v)) {
-      o.iters = std::atoi(v.c_str());
-    } else if (parse_flag(argv[i], "--scale", &v)) {
-      o.scale = std::atoi(v.c_str());
     } else if (parse_flag(argv[i], "--fault", &v)) {
       o.fault = v;
     } else if (parse_flag(argv[i], "--fault-file", &v)) {
       o.fault_file = v;
     } else if (parse_flag(argv[i], "--recovery", &v)) {
       o.recovery = v;
-    } else if (parse_flag(argv[i], "--fail-after", &v)) {
-      o.fail_after = std::atoi(v.c_str());
-    } else if (parse_flag(argv[i], "--placement-role", &v)) {
-      const std::size_t eq = v.find('=');
-      if (eq == std::string::npos || eq == 0 || eq + 1 == v.size())
-        usage("--placement-role wants ROLE=POLICY");
-      o.role_policies.emplace_back(v.substr(0, eq), v.substr(eq + 1));
-    } else if (parse_flag(argv[i], "--placement", &v)) {
-      o.placement = v;
     } else if (parse_flag(argv[i], "--metrics-out", &v)) {
       o.metrics_out = v;
     } else if (parse_flag(argv[i], "--trace-out", &v)) {
@@ -202,14 +196,8 @@ Options parse_options(int argc, char** argv, int first) {
       o.json_out = v;
     } else if (parse_flag(argv[i], "--request-trace-out", &v)) {
       o.request_trace_out = v;
-    } else if (parse_flag(argv[i], "--servers", &v)) {
-      o.servers = std::atoi(v.c_str());
-    } else if (parse_flag(argv[i], "--stripe", &v)) {
-      o.stripe = std::atoi(v.c_str());
     } else if (parse_flag(argv[i], "--shard-map", &v)) {
       o.shard_map = v;
-    } else if (parse_flag(argv[i], "--threads", &v)) {
-      o.threads = std::atoi(v.c_str());
     } else if (parse_flag(argv[i], "--share-mode", &v)) {
       if (!hca::share_mode_from_name(v, &o.share_mode))
         usage(("unknown share mode '" + v +
@@ -225,20 +213,6 @@ Options parse_options(int argc, char** argv, int first) {
     usage("--threads must be 0..64");
   if (o.recovery != "failfast" && o.recovery != "repost")
     usage("--recovery must be failfast or repost");
-  if (placement::make_policy(o.placement) == nullptr)
-    usage(("unknown placement policy '" + o.placement + "' (known: " +
-           placement::known_policy_names() + ")")
-              .c_str());
-  for (const auto& [role, policy] : o.role_policies) {
-    if (!placement::role_from_name(role).has_value())
-      usage(("unknown placement role '" + role + "' (known: " +
-             placement::known_role_names() + ")")
-                .c_str());
-    if (placement::make_policy(policy) == nullptr)
-      usage(("unknown placement policy '" + policy + "' for role '" + role +
-             "' (known: " + placement::known_policy_names() + ")")
-                .c_str());
-  }
   return o;
 }
 
@@ -249,8 +223,6 @@ core::ClusterConfig cluster_config(const Options& o) {
   cfg.ranks_per_node = o.rpn;
   cfg.hugepage_library = o.hugepages;
   cfg.lazy_deregistration = o.lazy;
-  cfg.placement_policy = o.placement;
-  cfg.placement_role_policies = o.role_policies;
   cfg.driver.hugepage_passthrough = o.patched;
   std::string spec = o.fault;
   if (!o.fault_file.empty()) {
@@ -533,9 +505,8 @@ int cmd_rpc(const std::string& mode, const Options& o) {
   if (o.nodes * o.rpn != 2)
     usage("rpc needs a 2-rank topology (one server, one client)");
   const bool open = mode == "open";
-  std::printf("RPC %s loop  platform=%s %dx%d placement=%s",
-              mode.c_str(), o.platform.c_str(), o.nodes, o.rpn,
-              o.placement.c_str());
+  std::printf("RPC %s loop  platform=%s %dx%d", mode.c_str(),
+              o.platform.c_str(), o.nodes, o.rpn);
   if (o.threads > 0)
     std::printf(" threads=%d share=%s", o.threads,
                 hca::share_mode_name(o.share_mode));
@@ -591,7 +562,7 @@ int cmd_rpc(const std::string& mode, const Options& o) {
     std::ofstream out(o.json_out);
     if (!out) usage(("cannot open " + o.json_out).c_str());
     out << "{\n  \"tool\": \"ibplace rpc\",\n  \"mode\": \"" << mode
-        << "\",\n  \"placement\": \"" << o.placement << "\",\n";
+        << "\",\n";
     json_gen_record(out, open ? "batched" : "uncontended", gen[0], cs[0],
                     shed_total[0], "  ");
     out << ",\n";
@@ -613,10 +584,9 @@ int cmd_fabric(const Options& o) {
     usage("--shard-map must be hash, range, or affinity");
 
   std::printf(
-      "fabric closed loop  platform=%s servers=%d stripe=%d shard=%s "
-      "placement=%s%s\n\n",
+      "fabric closed loop  platform=%s servers=%d stripe=%d shard=%s%s\n\n",
       o.platform.c_str(), o.servers, o.stripe, o.shard_map.c_str(),
-      o.placement.c_str(), o.rdma_eager ? " rdma-eager=on" : "");
+      o.rdma_eager ? " rdma-eager=on" : "");
 
   core::ClusterConfig cfg = cluster_config(o);
   cfg.nodes = o.servers + 1;  // rank 0 is the client
@@ -840,22 +810,11 @@ int cmd_trace_report(const std::string& path) {
   return 0;
 }
 
-int cmd_list_policies() {
-  for (const placement::PolicyInfo& info :
-       placement::registered_policies()) {
-    std::printf("%-20s %.*s\n", std::string(info.name).c_str(),
-                static_cast<int>(info.description.size()),
-                info.description.data());
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) usage();
   const std::string cmd = argv[1];
-  if (cmd == "--list-policies") return cmd_list_policies();
   try {
     if (cmd == "info") return cmd_info(parse_options(argc, argv, 2));
     if (cmd == "reg") return cmd_reg(parse_options(argc, argv, 2));
