@@ -235,28 +235,20 @@ void Cluster::register_probes() {
 }
 
 void Cluster::install_sampler() {
-  if (!cfg_.telemetry.enabled || cfg_.telemetry.sampling_period == 0) return;
-  // Counter tracks: on each period boundary of the engine's virtual-time
-  // frontier, emit every selected metric whose value changed since its
-  // last sample (tracks begin at their first non-zero value).
+  if (!cfg_.enable_tracing) return;
+  // Counter tracks: on each 100 us boundary of the engine's virtual-time
+  // frontier, emit every metric whose value changed since its last
+  // sample (tracks begin at their first non-zero value).
   auto last = std::make_shared<std::vector<double>>();
-  engine_.set_sampler(
-      cfg_.telemetry.sampling_period, [this, last](TimePs t) {
-        for (std::size_t i = 0; i < metrics_.size(); ++i) {
-          const std::string_view name = metrics_.name(i);
-          if (!cfg_.telemetry.categories.empty()) {
-            bool hit = false;
-            for (const std::string& prefix : cfg_.telemetry.categories)
-              hit |= name.substr(0, prefix.size()) == prefix;
-            if (!hit) continue;
-          }
-          if (i >= last->size()) last->resize(metrics_.size(), 0.0);
-          const double v = metrics_.value_at(i);
-          if (v == (*last)[i]) continue;
-          (*last)[i] = v;
-          tracer_.counter(std::string(name), t, v);
-        }
-      });
+  engine_.set_sampler(us(100), [this, last](TimePs t) {
+    for (std::size_t i = 0; i < metrics_.size(); ++i) {
+      if (i >= last->size()) last->resize(metrics_.size(), 0.0);
+      const double v = metrics_.value_at(i);
+      if (v == (*last)[i]) continue;
+      (*last)[i] = v;
+      tracer_.counter(std::string(metrics_.name(i)), t, v);
+    }
+  });
 }
 
 void Cluster::run(const std::function<void(RankEnv&)>& fn) {

@@ -57,16 +57,13 @@ struct ClusterConfig {
   /// The paper's OpenIB driver patch: ship native hugepage translations.
   verbs::DriverConfig driver{.hugepage_passthrough = true, .qp = {}};
   hugepage::LibraryConfig library;  // threshold / fit policy / costs
-  /// Record MPI-call and user spans into Cluster::tracer() (Chrome
-  /// trace-event JSON via Tracer::write_json).
+  /// The one trace switch. On, Cluster::tracer() records MPI-call and
+  /// user spans, send->recv flows, fault and retry marks, and counter
+  /// tracks sampling the MetricsRegistry every 100 us of virtual time
+  /// (Chrome trace-event JSON via Tracer::write_json). Off (the default),
+  /// tracer() is null and nothing is recorded or sampled;
+  /// Cluster::metrics() is live either way.
   bool enable_tracing = false;
-  /// Telemetry plane: with `telemetry.enabled` the cluster samples its
-  /// MetricsRegistry into tracer counter tracks on `sampling_period`
-  /// virtual-time cadence (categories filter by metric-name prefix) and
-  /// the tracer is available even without `enable_tracing`. Off (the
-  /// default), no sampling happens and runs are byte-identical to a
-  /// telemetry-free build; Cluster::metrics() stays usable either way.
-  telemetry::TelemetryConfig telemetry;
   /// Per-request tracing hub (ibp/telemetry/reqtrace.hpp). Off (the
   /// default), the cluster creates no hub and the serving stack is
   /// bit-inert — no wire flag, no extra state, byte-identical outputs.
@@ -220,12 +217,8 @@ class Cluster {
   Node& node(NodeId n) { return *nodes_.at(static_cast<std::size_t>(n)); }
   sim::Engine& engine() { return engine_; }
 
-  /// Populated when config().enable_tracing or config().telemetry.enabled
-  /// asks for it; null otherwise.
-  sim::Tracer* tracer() {
-    return cfg_.enable_tracing || cfg_.telemetry.enabled ? &tracer_
-                                                         : nullptr;
-  }
+  /// Populated when config().enable_tracing is on; null otherwise.
+  sim::Tracer* tracer() { return cfg_.enable_tracing ? &tracer_ : nullptr; }
 
   /// The cluster-wide metrics plane. Subsystems publish via probes (see
   /// ibp/telemetry/registry.hpp); always live, costs nothing unless read.

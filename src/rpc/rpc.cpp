@@ -1461,12 +1461,9 @@ void RpcServer::register_metrics() {
     probes_.push_back(m.probe("hca.qp_contention_ps", [ad] {
       return double(ad->stats().qp_contention_ps);
     }));
-    // Canonical name normalized to match hca.qp_contention_ps; the old
-    // dotted name stays resolvable as an alias of the same slot.
     probes_.push_back(m.probe("hca.cq_poll_contention_ps", [ad] {
       return double(ad->stats().cq_poll_contention);
     }));
-    m.alias("hca.cq_poll_contention", "hca.cq_poll_contention_ps");
   }
 }
 

@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "ibp/common/stats.hpp"
-#include "ibp/common/types.hpp"
 
 namespace ibp::telemetry {
 
@@ -135,14 +134,6 @@ class MetricsRegistry {
   [[nodiscard]] ProbeHandle probe(std::string_view name,
                                   std::function<double()> fn);
 
-  /// Register `alias_name` as a second name for `name`'s slot, so
-  /// existing consumers of a renamed metric keep resolving: counters,
-  /// adds, probes and value() through either name hit one slot.
-  /// Snapshots list only the canonical name (aliases are not rows, so
-  /// values are never double-counted). Re-aliasing to the same target is
-  /// a no-op; aliasing an existing distinct metric is an error.
-  void alias(std::string_view alias_name, std::string_view name);
-
   /// Current value of one metric (base + live probes); 0.0 if unknown.
   double value(std::string_view name) const;
 
@@ -169,8 +160,7 @@ class MetricsRegistry {
   void latch(std::size_t slot, std::uint64_t probe_id);
 
   // Name table shared with snapshots; deque keeps element references
-  // stable as the registry grows. Aliases live only in index_ (mapped to
-  // the canonical slot), never in names_.
+  // stable as the registry grows.
   std::shared_ptr<std::deque<std::string>> names_;
   std::vector<Slot> slots_;
   std::map<std::string, std::size_t, std::less<>> index_;
@@ -208,19 +198,5 @@ inline void ProbeHandle::release() {
     reg_ = nullptr;
   }
 }
-
-/// Cluster-level telemetry configuration (consumed by core::Cluster).
-struct TelemetryConfig {
-  /// Master switch. On, the cluster samples the registry into tracer
-  /// counter tracks on a virtual-time cadence and makes its tracer
-  /// available even without ClusterConfig::enable_tracing. Off, nothing
-  /// is sampled and no telemetry output exists — runs are byte-identical
-  /// to a build without telemetry.
-  bool enabled = false;
-  /// Virtual-time cadence of counter-track samples (0 = no sampling).
-  TimePs sampling_period = us(100);
-  /// Metric-name prefixes sampled into counter tracks (empty = all).
-  std::vector<std::string> categories;
-};
 
 }  // namespace ibp::telemetry

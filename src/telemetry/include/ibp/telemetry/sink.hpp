@@ -1,59 +1,20 @@
 #pragma once
 
-// Pluggable exporters for one simulation run's telemetry.
-//
-// A RunTelemetry bundle carries everything a run produced — the tracer
-// (spans, counter tracks, flow events) and a final metrics snapshot —
-// and a TelemetrySink serializes whichever part it understands:
-//
-//   * ChromeTraceJsonSink — the tracer as Chrome trace-event JSON
-//     (chrome://tracing / Perfetto);
-//   * MetricsJsonSink    — the snapshot as a flat name→value JSON object;
-//   * CsvSeriesSink      — the counter tracks as a CSV time series
-//     (one row per sample: metric, ts_us, value).
-//
-// `metrics_filter` restricts MetricsJsonSink / CsvSeriesSink to metric
-// names with the given prefix (empty = everything).
+// JSON writers for a run's metrics. The Chrome trace has its own writer,
+// sim::Tracer::write_json.
 
 #include <ostream>
-#include <string>
+#include <string_view>
 
-#include "ibp/sim/tracer.hpp"
 #include "ibp/telemetry/registry.hpp"
 
 namespace ibp::telemetry {
 
-struct RunTelemetry {
-  const sim::Tracer* tracer = nullptr;      // may be null (tracing off)
-  const MetricsSnapshot* metrics = nullptr; // may be null (no registry)
-  std::string metrics_filter;               // name prefix, empty = all
-};
-
-class TelemetrySink {
- public:
-  virtual ~TelemetrySink() = default;
-  virtual void write(const RunTelemetry& run, std::ostream& os) const = 0;
-};
-
-/// Chrome trace-event JSON array (spans, counters, flows, metadata).
-class ChromeTraceJsonSink final : public TelemetrySink {
- public:
-  void write(const RunTelemetry& run, std::ostream& os) const override;
-};
-
-/// Flat JSON object: {"metric.name": value, ...}, filter applied,
-/// names in registry (registration) order.
-class MetricsJsonSink final : public TelemetrySink {
- public:
-  void write(const RunTelemetry& run, std::ostream& os) const override;
-};
-
-/// CSV time series derived from the tracer's counter tracks:
-/// header `metric,ts_us,value`, one row per sample, filter applied.
-class CsvSeriesSink final : public TelemetrySink {
- public:
-  void write(const RunTelemetry& run, std::ostream& os) const override;
-};
+/// Serialize a snapshot as a flat JSON object {"metric.name": value, ...}
+/// in registration order, keeping only names that start with `prefix`
+/// (empty = every metric).
+void write_metrics_json(const MetricsSnapshot& snap, std::string_view prefix,
+                        std::ostream& os);
 
 /// Serialize a metrics delta as a JSON object
 /// {"metric.name": {"before": b, "after": a, "delta": d}, ...}.

@@ -24,15 +24,6 @@ void MetricsRegistry::add(std::string_view name, double delta) {
   slots_[resolve(name)].base += delta;
 }
 
-void MetricsRegistry::alias(std::string_view alias_name,
-                            std::string_view name) {
-  const std::size_t slot = resolve(name);
-  const auto [it, fresh] = index_.emplace(std::string(alias_name), slot);
-  IBP_CHECK(fresh || it->second == slot,
-            "metric alias '" << alias_name
-                             << "' already names a different metric");
-}
-
 ProbeHandle MetricsRegistry::probe(std::string_view name,
                                    std::function<double()> fn) {
   const std::size_t slot = resolve(name);

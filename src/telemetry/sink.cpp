@@ -1,48 +1,22 @@
 #include "ibp/telemetry/sink.hpp"
 
+#include "ibp/sim/tracer.hpp"
+
 namespace ibp::telemetry {
 
-namespace {
-
-bool matches(std::string_view name, std::string_view prefix) {
-  return prefix.empty() || name.substr(0, prefix.size()) == prefix;
-}
-
-}  // namespace
-
-void ChromeTraceJsonSink::write(const RunTelemetry& run,
-                                std::ostream& os) const {
-  if (run.tracer == nullptr) {
-    os << "[]\n";
-    return;
-  }
-  run.tracer->write_json(os);
-}
-
-void MetricsJsonSink::write(const RunTelemetry& run, std::ostream& os) const {
+void write_metrics_json(const MetricsSnapshot& snap, std::string_view prefix,
+                        std::ostream& os) {
   os << "{\n";
   bool any = false;
-  if (run.metrics != nullptr) {
-    for (std::size_t i = 0; i < run.metrics->size(); ++i) {
-      const std::string_view name = run.metrics->name(i);
-      if (!matches(name, run.metrics_filter)) continue;
-      if (any) os << ",\n";
-      any = true;
-      os << "  \"" << sim::Tracer::escaped(std::string(name))
-         << "\": " << run.metrics->value(i);
-    }
+  for (std::size_t i = 0; i < snap.size(); ++i) {
+    const std::string_view name = snap.name(i);
+    if (name.substr(0, prefix.size()) != prefix) continue;
+    if (any) os << ",\n";
+    any = true;
+    os << "  \"" << sim::Tracer::escaped(std::string(name))
+       << "\": " << snap.value(i);
   }
   os << (any ? "\n}\n" : "}\n");
-}
-
-void CsvSeriesSink::write(const RunTelemetry& run, std::ostream& os) const {
-  os << "metric,ts_us,value\n";
-  if (run.tracer == nullptr) return;
-  for (const auto& e : run.tracer->events()) {
-    if (e.kind != sim::Tracer::Kind::Counter) continue;
-    if (!matches(e.name, run.metrics_filter)) continue;
-    os << e.name << "," << ps_to_us(e.start) << "," << e.value << "\n";
-  }
 }
 
 void write_delta_json(const MetricsDelta& delta, std::ostream& os,

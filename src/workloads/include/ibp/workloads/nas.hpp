@@ -18,7 +18,7 @@
 //
 // Each kernel returns the mpiP-style communication/computation split and
 // PAPI-style TLB counters, which bench/fig6_nas turns into the paper's
-// Figure 6 bars and bench/tab_tlb_misses into the §5.2 TLB table.
+// Figure 6 bars and the §5.2 TLB table.
 
 #include <cstdint>
 #include <functional>

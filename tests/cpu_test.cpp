@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "ibp/cpu/perf.hpp"
+#include "ibp/core/cluster.hpp"
 #include "ibp/cpu/timebase.hpp"
 #include "ibp/cpu/tlb.hpp"
 #include "ibp/mem/address_space.hpp"
@@ -187,21 +187,23 @@ TEST(TimeBase, RoundTripConversion) {
   EXPECT_NEAR(static_cast<double>(t), 1.953e6, 1e3);
 }
 
+// The paper reads DTLB misses with PAPI: snapshot, run, diff. Here the
+// cluster's cpu.* probes are those counters and telemetry::diff the diff.
 TEST(PerfCounters, SnapshotDiff) {
-  Tlb tlb(small_tlb(8, 8));
-  MemConfig mc;
-  MemorySystem ms(mc, &tlb);
-  mem::PhysicalMemory pm(16 * kMiB, 4, 3);
-  mem::HugeTlbFs fs(&pm, 4, 0);
-  mem::AddressSpace as(&pm, &fs);
-  auto& m = as.map(1 * kMiB, mem::PageKind::Small);
-
-  const CounterSnapshot a = read_counters(ms);
-  ms.stream(as, m.va_base, 1 * kMiB);
-  const CounterSnapshot b = read_counters(ms);
-  const CounterSnapshot d = b - a;
-  EXPECT_EQ(d.stream_bytes, 1 * kMiB);
-  EXPECT_GT(d.tlb_misses(), 0u);
+  core::ClusterConfig cfg;
+  cfg.nodes = 1;
+  cfg.ranks_per_node = 1;
+  core::Cluster cluster(cfg);
+  telemetry::MetricsDelta d;
+  cluster.run([&](core::RankEnv& env) {
+    const VirtAddr buf = env.alloc(1 * kMiB);
+    const telemetry::MetricsSnapshot before = cluster.metrics().snapshot();
+    env.touch_stream(buf, 1 * kMiB);
+    d = telemetry::diff(before, cluster.metrics().snapshot());
+  });
+  EXPECT_DOUBLE_EQ(d.delta_of("cpu.stream_bytes"),
+                   static_cast<double>(1 * kMiB));
+  EXPECT_GT(d.delta_of("cpu.dtlb_misses"), 0.0);
 }
 
 TEST(MemCompute, ScalesWithOps) {

@@ -12,6 +12,7 @@
 #           stderr to OUT itself (a bench whose golden is its printout)
 #   TRACE   a Chrome trace the command writes: it must parse as JSON and
 #           hold counter ("C") and flow ("s", "f") records
+#   TRACE_EXPECT  regex the TRACE file must also match
 cmake_minimum_required(VERSION 3.19)  # string(JSON)
 
 set(cmd)
@@ -69,4 +70,7 @@ if(DEFINED TRACE)
       message(FATAL_ERROR "${TRACE} holds no \"ph\": \"${ph}\" record")
     endif()
   endforeach()
+  if(DEFINED TRACE_EXPECT AND NOT json MATCHES "${TRACE_EXPECT}")
+    message(FATAL_ERROR "${TRACE} holds nothing matching '${TRACE_EXPECT}'")
+  endif()
 endif()

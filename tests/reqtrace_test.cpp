@@ -264,27 +264,9 @@ TEST(RequestTrace, SloBurnCountersFire) {
   EXPECT_DOUBLE_EQ(burned, static_cast<double>(requests));
 }
 
-// Satellite: the renamed contention metric and its compatibility alias
-// resolve to one counter after a real SharedLocked multi-worker run.
-TEST(RequestTrace, ContentionMetricAliasResolvesToOneCounter) {
-  core::Cluster cluster(traced_cluster(2));
-  (void)run_rpc_closed(cluster, 4, 8, 400, 100);
-  const double canonical =
-      cluster.metrics().value("hca.cq_poll_contention_ps");
-  EXPECT_GT(canonical, 0.0) << "SharedLocked T=4 produced no contention";
-  EXPECT_DOUBLE_EQ(cluster.metrics().value("hca.cq_poll_contention"),
-                   canonical);
-  // The snapshot lists the canonical name once; the alias adds no row.
-  const MetricsSnapshot snap = cluster.metrics().snapshot();
-  std::size_t rows = 0;
-  for (std::size_t i = 0; i < snap.size(); ++i)
-    if (std::string(snap.name(i)).rfind("hca.cq_poll_contention", 0) == 0)
-      ++rows;
-  EXPECT_EQ(rows, 1u);
-}
-
 // The hub's quantile probes surface stage and end-to-end percentiles in
-// the pull-metrics plane.
+// the pull-metrics plane, beside the shared-locked server's contention
+// probe.
 TEST(RequestTrace, LatencyQuantileProbesAreLive) {
   core::Cluster cluster(traced_cluster(2));
   (void)run_rpc_closed(cluster, 2, 4, 300, 0);
@@ -293,6 +275,7 @@ TEST(RequestTrace, LatencyQuantileProbesAreLive) {
             cluster.metrics().value("rpc.latency.p50_us"));
   EXPECT_GT(cluster.metrics().value("rpc.stage.service.p50_us"), 0.0);
   EXPECT_GT(cluster.metrics().value("rpc.trace.finished"), 0.0);
+  EXPECT_GT(cluster.metrics().value("hca.cq_poll_contention_ps"), 0.0);
 }
 
 // Satellite: the flow-event pairing guarantee ("s"/"f" exactly once per
@@ -300,7 +283,7 @@ TEST(RequestTrace, LatencyQuantileProbesAreLive) {
 // path, and the hub's Chrome async spans pair "b"/"e" one-to-one.
 TEST(RequestTrace, FlowAndAsyncEventsPairAcrossFaultedStripes) {
   core::ClusterConfig cfg = traced_cluster(3);
-  cfg.telemetry.enabled = true;
+  cfg.enable_tracing = true;
   cfg.fault = fault::parse_fault_plan("drop=*-*:0.02;seed=5");
   core::Cluster cluster(cfg);
   (void)run_fabric_closed(cluster, 2, 64);

@@ -83,11 +83,8 @@ TEST(MetricsRegistry, SinksSerializeSnapshotAndDelta) {
   reg.add("mpi.sends", 2.0);
   const MetricsSnapshot after = reg.snapshot();
 
-  RunTelemetry run;
-  run.metrics = &after;
-  run.metrics_filter = "mpi.";
   std::ostringstream js;
-  MetricsJsonSink().write(run, js);
+  write_metrics_json(after, "mpi.", js);
   EXPECT_EQ(js.str(), "{\n  \"mpi.sends\": 5\n}\n");
 
   std::ostringstream ds;
@@ -95,22 +92,6 @@ TEST(MetricsRegistry, SinksSerializeSnapshotAndDelta) {
   EXPECT_EQ(ds.str(),
             "{\n  \"mpi.sends\": {\"before\": 3, \"after\": 5, "
             "\"delta\": 2}\n}");
-}
-
-TEST(MetricsRegistry, AliasResolvesBothNamesToOneCounter) {
-  MetricsRegistry reg;
-  Counter c = reg.counter("hca.cq_poll_contention_ps");
-  reg.alias("hca.cq_poll_contention", "hca.cq_poll_contention_ps");
-  c.add(3.0);
-  reg.add("hca.cq_poll_contention", 2.0);  // old dotted name, same slot
-  EXPECT_DOUBLE_EQ(reg.value("hca.cq_poll_contention_ps"), 5.0);
-  EXPECT_DOUBLE_EQ(reg.value("hca.cq_poll_contention"), 5.0);
-  // One slot: snapshots carry the canonical name only, so JSON consumers
-  // see no double counting.
-  EXPECT_EQ(reg.size(), 1u);
-  const MetricsSnapshot snap = reg.snapshot();
-  ASSERT_EQ(snap.size(), 1u);
-  EXPECT_EQ(snap.name(0), "hca.cq_poll_contention_ps");
 }
 
 TEST(MetricsRegistry, HistogramProbesExportQuantiles) {
@@ -135,7 +116,7 @@ core::ClusterConfig telemetry_cluster(int nodes, int rpn) {
   cfg.ranks_per_node = rpn;
   cfg.hugepage_library = true;
   cfg.hugepages_per_node = 128;
-  cfg.telemetry.enabled = true;
+  cfg.enable_tracing = true;
   return cfg;
 }
 
@@ -186,22 +167,6 @@ TEST(Telemetry, CounterTracksSampleDeterministically) {
   const std::string first = run_once();
   EXPECT_FALSE(first.empty()) << "sampler produced no counter samples";
   EXPECT_EQ(first, run_once());
-}
-
-TEST(Telemetry, SamplingCategoriesFilterCounterTracks) {
-  core::ClusterConfig cfg = telemetry_cluster(2, 1);
-  cfg.telemetry.categories = {"mpi."};
-  core::Cluster cluster(cfg);
-  cluster.run([](core::RankEnv& env) {
-    sendrecv_workload(env, 4, 128 * kKiB);
-  });
-  std::size_t counters = 0;
-  for (const auto& e : cluster.tracer()->events()) {
-    if (e.kind != sim::Tracer::Kind::Counter) continue;
-    ++counters;
-    EXPECT_EQ(e.name.substr(0, 4), "mpi.") << e.name;
-  }
-  EXPECT_GT(counters, 0u);
 }
 
 TEST(Telemetry, FlowEventsPairOneToOneAcrossRetransmits) {

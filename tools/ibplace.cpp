@@ -10,7 +10,8 @@
 //
 // Common options:
 //   --platform=opteron|xeon|systemp   (default opteron)
-//   --nodes=N --rpn=R                 topology (default 2x4; imb 2x1)
+//   --nodes=N --rpn=R                 topology (default 2x4; imb and
+//                                     rpc 2x1)
 //   --hugepages=0|1                   preload the hugepage library
 //   --lazy=0|1                        lazy deregistration (default 1)
 //   --patched=0|1                     driver hugepage passthrough (default 1)
@@ -109,6 +110,7 @@ struct Options {
                "                  --fail-after=K]\n"
                "  ibplace trace-report <trace.jsonl>\n"
                "options: --platform=opteron|xeon|systemp --nodes=N --rpn=R\n"
+               "         (default 2x4; imb and rpc 2x1)\n"
                "         --hugepages=0|1 --lazy=0|1 --patched=0|1\n"
                "         --rndv-read=0|1 (imb/rpc/fabric)\n"
                "         --iters=N --scale=N\n"
@@ -160,8 +162,9 @@ bool parse_int_flag(const char* arg, const char* name, int* out) {
   return true;
 }
 
-Options parse_options(int argc, char** argv, int first) {
+Options parse_options(int argc, char** argv, int first, int default_rpn) {
   Options o;
+  o.rpn = default_rpn;
   for (int i = first; i < argc; ++i) {
     if (parse_bool_flag(argv[i], "--hugepages", &o.hugepages) ||
         parse_bool_flag(argv[i], "--lazy", &o.lazy) ||
@@ -234,8 +237,7 @@ core::ClusterConfig cluster_config(const Options& o) {
     spec += ss.str();
   }
   if (!spec.empty()) cfg.fault = fault::parse_fault_plan(spec);
-  if (!o.metrics_out.empty() || !o.trace_out.empty())
-    cfg.telemetry.enabled = true;
+  cfg.enable_tracing = !o.trace_out.empty();
   if (!o.request_trace_out.empty()) cfg.request_trace.enabled = true;
   return cfg;
 }
@@ -248,21 +250,16 @@ void write_telemetry_outputs(core::Cluster& cluster, const Options& o) {
     telemetry::RequestTracer* hub = cluster.request_tracer();
     if (hub != nullptr) hub->write_jsonl(out);
   }
-  if (o.metrics_out.empty() && o.trace_out.empty()) return;
-  const telemetry::MetricsSnapshot snap = cluster.metrics().snapshot();
-  telemetry::RunTelemetry run;
-  run.tracer = cluster.tracer();
-  run.metrics = &snap;
-  run.metrics_filter = o.metrics_filter;
   if (!o.metrics_out.empty()) {
     std::ofstream out(o.metrics_out);
     if (!out) usage(("cannot open " + o.metrics_out).c_str());
-    telemetry::MetricsJsonSink().write(run, out);
+    telemetry::write_metrics_json(cluster.metrics().snapshot(),
+                                  o.metrics_filter, out);
   }
   if (!o.trace_out.empty()) {
     std::ofstream out(o.trace_out);
     if (!out) usage(("cannot open " + o.trace_out).c_str());
-    telemetry::ChromeTraceJsonSink().write(run, out);
+    cluster.tracer()->write_json(out);
   }
 }
 
@@ -815,26 +812,24 @@ int cmd_trace_report(const std::string& path) {
 int main(int argc, char** argv) {
   if (argc < 2) usage();
   const std::string cmd = argv[1];
+  // imb and rpc run one rank per node unless --rpn says otherwise.
+  const int rpn = cmd == "imb" || cmd == "rpc" ? 1 : 4;
   try {
-    if (cmd == "info") return cmd_info(parse_options(argc, argv, 2));
-    if (cmd == "reg") return cmd_reg(parse_options(argc, argv, 2));
+    if (cmd == "info") return cmd_info(parse_options(argc, argv, 2, rpn));
+    if (cmd == "reg") return cmd_reg(parse_options(argc, argv, 2, rpn));
     if (cmd == "imb") {
       if (argc < 3) usage("imb needs a mode");
-      Options o = parse_options(argc, argv, 3);
-      if (o.nodes == 2 && o.rpn == 4) o.rpn = 1;  // friendlier default
-      return cmd_imb(argv[2], o);
+      return cmd_imb(argv[2], parse_options(argc, argv, 3, rpn));
     }
     if (cmd == "nas") {
       if (argc < 3) usage("nas needs a kernel");
-      return cmd_nas(argv[2], parse_options(argc, argv, 3));
+      return cmd_nas(argv[2], parse_options(argc, argv, 3, rpn));
     }
     if (cmd == "rpc") {
       if (argc < 3) usage("rpc needs a mode (open|closed)");
-      Options o = parse_options(argc, argv, 3);
-      if (o.nodes == 2 && o.rpn == 4) o.rpn = 1;  // friendlier default
-      return cmd_rpc(argv[2], o);
+      return cmd_rpc(argv[2], parse_options(argc, argv, 3, rpn));
     }
-    if (cmd == "fabric") return cmd_fabric(parse_options(argc, argv, 2));
+    if (cmd == "fabric") return cmd_fabric(parse_options(argc, argv, 2, rpn));
     if (cmd == "trace-report") {
       if (argc < 3) usage("trace-report needs a trace JSONL file");
       return cmd_trace_report(argv[2]);
